@@ -14,6 +14,7 @@ from .core import (
 )
 from .diagonals import DiagonalMaps, check_diagonal_identities, check_diagonal_theorems, diagonal_maps
 from .errors import (
+    ClosedFormMismatch,
     CompatibilityError,
     DomainError,
     InputError,

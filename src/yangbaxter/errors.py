@@ -65,6 +65,10 @@ class NotKReductive(DomainError):
     pass
 
 
+class ClosedFormMismatch(DomainError):
+    pass
+
+
 class InvalidQCycle(DomainError):
     pass
 

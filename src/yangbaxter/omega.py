@@ -9,17 +9,18 @@ alphabet of families decide the two tower-collapse properties:
 * k-reductive: every height-k tower equals the height-(k-1) tower obtained
   by promoting the first argument to the base.
 
-Word spaces are scanned exhaustively while the case count stays below
-EXHAUSTIVE_LIMIT, and by seeded random sampling above it, so every verdict is
-reproducible.
+Every tower is a composition of step maps X -> X, so the height-k towers
+form a set of at most n**n distinct maps, built level by level from the
+height-(k-1) maps.  Both properties are decided on these sets, which makes
+every verdict exact for any n and k; a failing map is traced back to one word
+and argument list that witness it.
 """
 
-import random
 from itertools import product
-from math import prod
 
 from .core import invert, is_permutation, row_inverses
 from .errors import (
+    ClosedFormMismatch,
     NotBijective,
     NotKPermutational,
     NotKReductive,
@@ -50,10 +51,6 @@ INVERSE_OF = {
     SIGMA_HAT: SIGMA_HAT_INV, SIGMA_HAT_INV: SIGMA_HAT,
     TAU_HAT: TAU_HAT_INV, TAU_HAT_INV: TAU_HAT,
 }
-
-EXHAUSTIVE_LIMIT = 10**7
-SAMPLE_TRIALS = 10**5
-
 
 def _inverse_rows(table, symbol):
     if not all(is_permutation(row) for row in table):
@@ -134,41 +131,37 @@ def omega_eval(sol, word, x, zs):
     return _eval(tables, word, x, zs)
 
 
-class _WordSpace:
-    """All length-k words over an alphabet, indexable without materialization."""
+def _tower_levels(tables, alphabet, n, height):
+    """The maps of all towers of height 0..height over the alphabet.
 
-    def __init__(self, alphabet, k):
-        self.alphabet = tuple(alphabet)
-        self.k = k
-
-    def __len__(self):
-        return len(self.alphabet) ** self.k
-
-    def __getitem__(self, index):
-        base = len(self.alphabet)
-        word = []
-        for _ in range(self.k):
-            index, digit = divmod(index, base)
-            word.append(self.alphabet[digit])
-        return tuple(reversed(word))
-
-    def __iter__(self):
-        return iter(product(self.alphabet, repeat=self.k))
+    A step with symbol s and argument z sends the running value a to
+    tables[s][a][z], so every tower is a composition of step maps X -> X,
+    the first step innermost.  levels[h] holds each distinct height-h map,
+    as a tuple of its values on the bases 0..n-1, with one back-pointer
+    (parent map, symbol, argument) to a height-(h-1) map it extends.
+    """
+    steps = [(s, z, tuple(row[z] for row in tables[s])) for s in alphabet for z in range(n)]
+    levels = [{tuple(range(n)): None}]
+    for _ in range(height):
+        level = {}
+        for f in levels[-1]:
+            for s, z, g in steps:
+                level.setdefault(tuple(map(g.__getitem__, f)), (f, s, z))
+        levels.append(level)
+    return levels
 
 
-def _cases(seed, *dims):
-    """Full cartesian product of the dimensions when small enough, otherwise
-    a seeded random sample of SAMPLE_TRIALS tuples."""
-    total = prod(len(d) for d in dims)
-    if total <= EXHAUSTIVE_LIMIT:
-        yield from product(*dims)
-    else:
-        rng = random.Random(seed)
-        for _ in range(SAMPLE_TRIALS):
-            yield tuple(d[rng.randrange(len(d))] for d in dims)
+def _tower_path(levels, h, f):
+    """A word and arguments whose height-h tower has the map f."""
+    word, zs = [], []
+    for level in reversed(levels[1 : h + 1]):
+        f, s, z = level[f]
+        word.append(s)
+        zs.append(z)
+    return tuple(reversed(word)), tuple(reversed(zs))
 
 
-def is_k_permutational(sol, k, alphabet=DEFAULT_ALPHABET, seed=0):
+def is_k_permutational(sol, k, alphabet=DEFAULT_ALPHABET):
     """Whether every height-k tower over the alphabet ignores its base element.
 
     Returns (True, None) or (False, (word, x, y, zs)) where the two bases x
@@ -177,20 +170,29 @@ def is_k_permutational(sol, k, alphabet=DEFAULT_ALPHABET, seed=0):
     if k < 0:
         raise ValueError("k must be >= 0")
     tables = action_tables(sol, set(alphabet))
-    n = sol.n
-    carrier = range(n)
-    words = _WordSpace(alphabet, k)
-    zspace = _WordSpace(tuple(carrier), k)
-    for case in _cases(seed, words, carrier, carrier, zspace):
-        word, x, y, zs = case
-        if x == y:
-            continue
-        if _eval(tables, word, x, zs) != _eval(tables, word, y, zs):
-            return False, (word, x, y, zs)
+    levels = _tower_levels(tables, alphabet, sol.n, k)
+    for f in levels[k]:
+        for y in range(1, sol.n):
+            if f[y] != f[0]:
+                word, zs = _tower_path(levels, k, f)
+                return False, (word, 0, y, zs)
     return True, None
 
 
-def is_k_reductive(sol, k, seed=0):
+def _first_step_failures(sol, k, first_symbols):
+    """Height-k towers over {sigma, tau} whose first step, read through
+    first_symbols[word[0]], changes their value from that of the height-(k-1)
+    tower started at the first argument.  Yields (word, x, zs)."""
+    tables = action_tables(sol, set(DEFAULT_ALPHABET) | set(first_symbols.values()))
+    levels = _tower_levels(tables, DEFAULT_ALPHABET, sol.n, k - 1)
+    for g in levels[k - 1]:
+        for s, x, z in product(DEFAULT_ALPHABET, range(sol.n), range(sol.n)):
+            if g[tables[first_symbols[s]][x][z]] != g[z]:
+                word, zs = _tower_path(levels, k - 1, g)
+                yield (s,) + word, x, (z,) + zs
+
+
+def is_k_reductive(sol, k):
     """Whether every height-k tower over {sigma, tau} equals the height-(k-1)
     tower that starts at the first argument instead of the base.
 
@@ -198,15 +200,8 @@ def is_k_reductive(sol, k, seed=0):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    tables = action_tables(sol, set(DEFAULT_ALPHABET))
-    n = sol.n
-    carrier = range(n)
-    words = _WordSpace(DEFAULT_ALPHABET, k)
-    zspace = _WordSpace(tuple(carrier), k)
-    for word, x, zs in _cases(seed, words, carrier, zspace):
-        if _eval(tables, word, x, zs) != _eval(tables, word[1:], zs[0], zs[1:]):
-            return False, (word, x, zs)
-    return True, None
+    witness = next(_first_step_failures(sol, k, {SIGMA: SIGMA, TAU: TAU}), None)
+    return witness is None, witness
 
 
 def check_star_conditions(sol):
@@ -243,18 +238,24 @@ def _closed_form(sol, k, reductive, symbol):
     return tuple(_eval(tables, word, x, (x,) * height) for x in range(sol.n))
 
 
+def _check_inverts(table, diagonal, name):
+    """Raise ClosedFormMismatch, with the failing points as witness, unless
+    table inverts the diagonal map on both sides."""
+    bad = [x for x in range(len(diagonal)) if table[diagonal[x]] != x or diagonal[table[x]] != x]
+    if bad:
+        raise ClosedFormMismatch(f"closed form does not invert {name}", witness=bad)
+    return table
+
+
 def closed_form_U_inverse(sol, k, reductive=False):
     """U inverse as a single tower: apply the left translation family k times
     (k-1 times in the reductive case) starting and ending at the same element.
-    The result is checked to invert U on both sides."""
+    Raises ClosedFormMismatch unless the result inverts U on both sides."""
     if not all(is_permutation(row) for row in sol.sigma):
         raise NotLeftNondegenerate("U is only defined for left non-degenerate solutions")
     table = _closed_form(sol, k, reductive, SIGMA)
     U = tuple(sol.sigma[x].index(x) for x in range(sol.n))
-    for x in range(sol.n):
-        assert table[U[x]] == x
-        assert U[table[x]] == x
-    return table
+    return _check_inverts(table, U, "U")
 
 
 def closed_form_T_inverse(sol, k, reductive=False):
@@ -263,10 +264,7 @@ def closed_form_T_inverse(sol, k, reductive=False):
         raise NotRightNondegenerate("T is only defined for right non-degenerate solutions")
     table = _closed_form(sol, k, reductive, TAU)
     T = tuple(sol.tau[x].index(x) for x in range(sol.n))
-    for x in range(sol.n):
-        assert table[T[x]] == x
-        assert T[table[x]] == x
-    return table
+    return _check_inverts(table, T, "T")
 
 
 def _invertible_symbols(sol, symbols):
@@ -283,9 +281,11 @@ def _invertible_symbols(sol, symbols):
 def check_omega_identities(sol, max_m, seed=0, symbols=None):
     """Verify the general tower rewriting identities on this solution.
 
-    peel_one       a height-m tower is the height-(m-1) tower whose base is
-                   the value after the first step;
-    peel_prefix    any prefix of steps folds into the base the same way;
+    peel_one       every tower map replays, from every base, as the scalar
+                   fold of its word; and the height-m maps built by adding
+                   a last step are those built by adding a first step;
+    peel_prefix    the height-m maps are the compositions of a height-j map
+                   followed by a height-(m-j) map, for every split j;
     inverse_seed   towers repeatedly fed the inverse image of the base
                    return the base;
     inverse_shift  a step followed through an inverse-seeded argument shifts
@@ -293,100 +293,88 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
     drop_base      on a level-k permutational solution, a height-(k+1) tower
                    forgets both its base and its first argument.
 
-    These hold for every solution (drop_base for permutational levels only),
-    so any reported failure is an implementation bug, not a property of the
-    input.  symbols restricts the tower alphabet; by default every symbol the
-    solution supports is used.  Returns a dict of per-identity results with
-    checked counts and failure witnesses.
+    The first two compare the composed tower maps with the scalar fold and
+    with each other; the last three evaluate the scalar fold, once per
+    distinct tower map, so every case is covered.  They hold for every
+    solution (drop_base for permutational levels only), so any reported
+    failure is an implementation bug, not a property of the input.  symbols
+    restricts the tower alphabet; by default every symbol the solution
+    supports is used.  seed has no effect and is echoed in the report.
+    Returns a dict of per-identity results with checked counts and failure
+    witnesses.
     """
     n = sol.n
-    carrier = tuple(range(n))
+    carrier = range(n)
     usable = available_symbols(sol) if symbols is None else tuple(symbols)
     invertible = _invertible_symbols(sol, usable)
     # only pair a symbol with its inverse when both sit in the alphabet
     invertible = tuple(s for s in invertible if INVERSE_OF[s] in usable)
     tables = action_tables(sol, set(usable) | {INVERSE_OF[s] for s in invertible})
+    levels = _tower_levels(tables, usable, n, max_m)
     report = {"seed": seed}
 
-    def run(name, dims, predicate):
-        checked = 0
-        failures = []
-        total = prod(len(d) for d in dims)
-        for case in _cases(seed, *dims):
-            checked += 1
-            if not predicate(*case):
-                failures.append(case)
-        report[name] = {
-            "checked": checked,
-            "mode": "exhaustive" if total <= EXHAUSTIVE_LIMIT else "sampled",
-            "failures": failures,
-        }
+    def record(name, checked, failures):
+        report[name] = {"checked": checked, "mode": "exhaustive", "failures": failures}
 
     for m in range(1, max_m + 1):
-        words = _WordSpace(usable, m)
-        zspace = _WordSpace(carrier, m)
+        level, shorter = levels[m], levels[m - 1]
 
-        run(
-            f"peel_one_m{m}",
-            (words, carrier, zspace),
-            lambda word, x, zs: _eval(tables, word, x, zs)
-            == _eval(tables, word[1:], tables[word[0]][x][zs[0]], zs[1:]),
-        )
-        run(
-            f"peel_prefix_m{m}",
-            (words, range(m + 1), carrier, zspace),
-            lambda word, j, x, zs: _eval(tables, word, x, zs)
-            == _eval(tables, word[j:], _eval(tables, word[:j], x, zs[:j]), zs[j:]),
-        )
-        run(
-            f"inverse_seed_m{m}",
-            (invertible, carrier),
-            lambda g, x: _eval(
-                tables, (g,) * m, x, (tables[INVERSE_OF[g]][x][x],) * m
-            ) == x,
-        )
-        tail = _WordSpace(usable, m - 1)
-        ztail = _WordSpace(carrier, m - 1)
-        run(
-            f"inverse_shift_m{m}",
-            (invertible, tail, carrier, carrier, ztail),
-            lambda g, rest, x, z1, zs: _eval(
-                tables, (g,) + rest, x, (tables[INVERSE_OF[g]][x][z1],) + zs
-            ) == _eval(tables, rest, z1, zs),
-        )
+        failures = []
+        for f in level:
+            word, zs = _tower_path(levels, m, f)
+            failures.extend(
+                (word, x, zs, f[x]) for x in carrier if _eval(tables, word, x, zs) != f[x]
+            )
+        # composing every height-(m-1) map after every single step
+        prepended = {tuple(map(f.__getitem__, g)) for f in shorter for g in levels[1]}
+        failures.extend(("prepend", f) for f in prepended ^ level.keys())
+        record(f"peel_one_m{m}", len(level) * n + len(shorter) * len(levels[1]), failures)
 
-    perm_level = None
-    for k in range(0, max_m):
-        ok, _ = is_k_permutational(sol, k, seed=seed)
-        if ok:
-            perm_level = k
-            break
+        checked = 0
+        failures = []
+        for j in range(m + 1):
+            split = {tuple(map(b.__getitem__, a)) for a in levels[j] for b in levels[m - j]}
+            checked += len(levels[j]) * len(levels[m - j])
+            failures.extend(("split", j, f) for f in split ^ level.keys())
+        record(f"peel_prefix_m{m}", checked, failures)
+
+        failures = [
+            (g, x)
+            for g in invertible
+            for x in carrier
+            if _eval(tables, (g,) * m, x, (tables[INVERSE_OF[g]][x][x],) * m) != x
+        ]
+        record(f"inverse_seed_m{m}", len(invertible) * n, failures)
+
+        failures = []
+        for f in shorter:
+            rest, zs = _tower_path(levels, m - 1, f)
+            for g, x, z1 in product(invertible, carrier, carrier):
+                lhs = _eval(tables, (g,) + rest, x, (tables[INVERSE_OF[g]][x][z1],) + zs)
+                if lhs != _eval(tables, rest, z1, zs):
+                    failures.append((g, rest, x, z1, zs))
+        record(f"inverse_shift_m{m}", len(invertible) * len(shorter) * n * n, failures)
+
+    perm_level = next((k for k in range(max_m) if is_k_permutational(sol, k)[0]), None)
     report["permutational_level_bound"] = perm_level
     if perm_level is not None:
+        tables = action_tables(sol, DEFAULT_ALPHABET)
+        levels = _tower_levels(tables, DEFAULT_ALPHABET, n, max_m - 1)
         for k in range(perm_level, max_m):
-            words = _WordSpace(DEFAULT_ALPHABET, k + 1)
-            zspace = _WordSpace(carrier, k + 1)
-            run(
-                f"drop_base_k{k}",
-                (words, carrier, carrier, zspace),
-                lambda word, x, y, zs: _eval(tables, word, x, zs)
-                == _eval(tables, word[1:], y, zs[1:]),
-            )
+            failures = []
+            for f in levels[k]:
+                rest, zs = _tower_path(levels, k, f)
+                for s, x, z1, y in product(DEFAULT_ALPHABET, carrier, carrier, carrier):
+                    word = (s,) + rest
+                    if _eval(tables, word, x, (z1,) + zs) != _eval(tables, rest, y, zs):
+                        failures.append((word, x, y, (z1,) + zs))
+            record(f"drop_base_k{k}", len(levels[k]) * len(DEFAULT_ALPHABET) * n**3, failures)
     return report
 
 
-def check_reductive_inverse_start(sol, k, seed=0):
+def check_reductive_inverse_start(sol, k):
     """Derived identity of k-reductive solutions: replacing the first step by
     the inverse of any first family still collapses to the height-(k-1) tower.
-    Needs non-degeneracy to evaluate the inverse families."""
-    tables = action_tables(sol, (SIGMA, TAU, SIGMA_INV, TAU_INV))
-    carrier = tuple(range(sol.n))
-    words = _WordSpace(DEFAULT_ALPHABET, k)
-    zspace = _WordSpace(carrier, k)
-    failures = []
-    for word, x, zs in _cases(seed, words, carrier, zspace):
-        lhs = _eval(tables, (INVERSE_OF[word[0]],) + word[1:], x, zs)
-        rhs = _eval(tables, word[1:], zs[0], zs[1:])
-        if lhs != rhs:
-            failures.append((word, x, zs))
-    return failures
+    Needs non-degeneracy to evaluate the inverse families.  Returns the
+    failing (word, x, zs), one per distinct height-(k-1) tower map."""
+    return list(_first_step_failures(sol, k, {SIGMA: SIGMA_INV, TAU: TAU_INV}))

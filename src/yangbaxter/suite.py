@@ -25,7 +25,7 @@ from .core import (
     validate_braid,
 )
 from .diagonals import check_diagonal_identities, check_diagonal_theorems, diagonal_maps
-from .errors import SymbolUnavailable
+from .errors import ClosedFormMismatch, SizeTooLarge, SymbolUnavailable
 from .omega import (
     FULL_ALPHABET,
     SIGMA,
@@ -107,12 +107,12 @@ def _payload(sol, detail):
     return {"sigma": sol.sigma, "tau": sol.tau, "detail": detail}
 
 
-def _check_universal(sol, report, seed):
+def _check_universal(sol, report, props):
     """Claims whose hypotheses any braid-valid solution meets."""
     report.record("braid_routes_agree", [_payload(sol, v) for v in validate_braid(sol)])
 
-    red = {k: is_k_reductive(sol, k, seed=seed)[0] for k in range(1, K_RED_MAX + 1)}
-    perm = {k: is_k_permutational(sol, k, seed=seed)[0] for k in range(0, K_PERM_MAX + 1)}
+    red = {k: is_k_reductive(sol, k)[0] for k in range(1, K_RED_MAX + 1)}
+    perm = {k: is_k_permutational(sol, k)[0] for k in range(0, K_PERM_MAX + 1)}
 
     bad = [k for k in range(1, K_PERM_MAX + 1) if red[k] and not perm[k]]
     report.record("reductive_implies_permutational", [_payload(sol, k) for k in bad])
@@ -120,7 +120,7 @@ def _check_universal(sol, report, seed):
     bad = [k for k in range(0, K_PERM_MAX) if perm[k] and not red[k + 1]]
     report.record("permutational_implies_next_reductive", [_payload(sol, k) for k in bad])
 
-    if _is_square_free(sol):
+    if props.square_free:
         bad = [k for k in range(1, K_PERM_MAX + 1) if perm[k] and not red[k]]
         report.record("square_free_permutational_is_reductive", [_payload(sol, k) for k in bad])
 
@@ -130,11 +130,11 @@ def _check_universal(sol, report, seed):
         report.record("star_permutational_iff_reductive", [_payload(sol, k) for k in bad])
 
     symbols = [SIGMA, TAU]
-    if left_nondegenerate(sol):
+    if props.left_nondegenerate:
         symbols.append(SIGMA_INV)
-    if right_nondegenerate(sol):
+    if props.right_nondegenerate:
         symbols.append(TAU_INV)
-    omega = check_omega_identities(sol, OMEGA_IDENTITY_MAX_M, seed=seed, symbols=tuple(symbols))
+    omega = check_omega_identities(sol, OMEGA_IDENTITY_MAX_M, symbols=tuple(symbols))
     failures = []
     for name, result in omega.items():
         if isinstance(result, dict) and result["failures"]:
@@ -251,17 +251,13 @@ def _regular_colon_checks(sol, q, report):
             obs["examples_no"].append(_payload(sol, (qdot, qcolon)))
 
 
-def _check_nondegenerate(sol, report, props, red, perm, seed):
+def _check_diagonals(sol, report, props):
+    """Bijectivity, diagonal and square-free claims of a non-degenerate
+    solution; the whole battery at n = 4."""
     report.record(
         "nondegenerate_is_bijective",
         [] if props.bijective else [_payload(sol, props.witnesses.get("bijective"))],
     )
-
-    # degenerate distributive counterexamples exist, so scope this to the
-    # non-degenerate population the cited equivalence is actually about
-    if _is_distributive(sol):
-        bad = [k for k in range(2, K_PERM_MAX + 1) if red[k] != perm[k]]
-        report.record("distributive_reductive_iff_permutational", [_payload(sol, k) for k in bad])
 
     d = diagonal_maps(sol)
     bad = []
@@ -278,19 +274,30 @@ def _check_nondegenerate(sol, report, props, red, perm, seed):
     ):
         report.record(entry_name, [_payload(sol, (key, w)) for w in theorems[key]], checked=1)
 
+    identity = tuple(range(sol.n))
+    sqf = props.square_free
+    report.record(
+        "square_free_iff_trivial_diagonals",
+        [] if sqf == (d.U == identity and d.T == identity) else [_payload(sol, (sqf, d.U, d.T))],
+    )
+    return d
+
+
+def _check_nondegenerate(sol, report, props, red, perm):
+    d = _check_diagonals(sol, report, props)
+
+    # degenerate distributive counterexamples exist, so scope this to the
+    # non-degenerate population the cited equivalence is actually about
+    if _is_distributive(sol):
+        bad = [k for k in range(2, K_PERM_MAX + 1) if red[k] != perm[k]]
+        report.record("distributive_reductive_iff_permutational", [_payload(sol, k) for k in bad])
+
     identities = check_diagonal_identities(sol)
     report.record(
         "diagonal_pointwise_identities",
         [_payload(sol, (name, pts)) for name, pts in identities.items() if pts],
     )
 
-    identity = tuple(range(sol.n))
-    sqf = _is_square_free(sol)
-    diag_identity = d.U == identity and d.T == identity
-    report.record(
-        "square_free_iff_trivial_diagonals",
-        [] if sqf == diag_identity else [_payload(sol, (sqf, d.U, d.T))],
-    )
     if props.involutive:
         report.record(
             "involutive_diagonals_mutually_inverse",
@@ -329,15 +336,15 @@ def _check_nondegenerate(sol, report, props, red, perm, seed):
     bad = []
     for k in range(0, K_PERM_MAX + 1):
         level_le_k = level is not None and level <= k
-        full_perm = is_k_permutational(sol, k, FULL_ALPHABET, seed=seed)[0]
-        hat_perm = is_k_permutational(sol, k, (SIGMA_INV, SIGMA_HAT_INV), seed=seed)[0]
+        full_perm = is_k_permutational(sol, k, FULL_ALPHABET)[0]
+        hat_perm = is_k_permutational(sol, k, (SIGMA_INV, SIGMA_HAT_INV))[0]
         if not (level_le_k == perm[k] == full_perm == hat_perm):
             bad.append(_payload(sol, (k, level, perm[k], full_perm, hat_perm)))
     report.record("multipermutation_level_tower_equivalences", bad)
 
     bad = []
     for k in range(2, K_RED_MAX + 1):
-        if red[k] != is_k_reductive(ret.quotient, k - 1, seed=seed)[0]:
+        if red[k] != is_k_reductive(ret.quotient, k - 1)[0]:
             bad.append(_payload(sol, k))
     report.record("reductivity_descends_to_retract", bad)
 
@@ -369,7 +376,7 @@ def _check_nondegenerate(sol, report, props, red, perm, seed):
 
     bad = []
     for k in range(1, K_RED_MAX + 1):
-        if red[k] and check_reductive_inverse_start(sol, k, seed=seed):
+        if red[k] and check_reductive_inverse_start(sol, k):
             bad.append(_payload(sol, k))
     report.record("reductive_inverse_start_identity", bad)
 
@@ -382,7 +389,7 @@ def _check_nondegenerate(sol, report, props, red, perm, seed):
 
     decomposable = is_decomposable(sol) if sol.n > 1 else None
     bad = []
-    if sol.n > 1 and sqf and level is not None and not decomposable:
+    if sol.n > 1 and props.square_free and level is not None and not decomposable:
         bad.append(_payload(sol, ("square_free", level)))
     report.record("square_free_multipermutation_decomposable", bad)
 
@@ -403,56 +410,22 @@ def _check_nondegenerate(sol, report, props, red, perm, seed):
         try:
             closed_form_U_inverse(sol, level)
             closed_form_T_inverse(sol, level)
-        except AssertionError:
-            bad.append(_payload(sol, ("permutational_form", level)))
+        except ClosedFormMismatch as exc:
+            bad.append(_payload(sol, ("permutational_form", level, exc.witness)))
     first_red = next((k for k in range(1, K_RED_MAX + 1) if red[k]), None)
     if first_red is not None:
         try:
             closed_form_U_inverse(sol, first_red, reductive=True)
             closed_form_T_inverse(sol, first_red, reductive=True)
-        except AssertionError:
-            bad.append(_payload(sol, ("reductive_form", first_red)))
+        except ClosedFormMismatch as exc:
+            bad.append(_payload(sol, ("reductive_form", first_red, exc.witness)))
     report.record("closed_form_diagonal_inverses", bad)
 
     # orbit blocks certified closed and braid-valid inside orbit_decomposition
     orbit_decomposition(sol)
 
 
-def _check_n4_nondegenerate(sol, report):
-    """The n = 4 sub-suite: bijectivity and the diagonal theorems only."""
-    props = properties(sol)
-    report.record(
-        "nondegenerate_is_bijective",
-        [] if props.bijective else [_payload(sol, props.witnesses.get("bijective"))],
-    )
-    d = diagonal_maps(sol)
-    bad = []
-    if sorted(d.U) != list(range(sol.n)) or sorted(d.T) != list(range(sol.n)):
-        bad.append(_payload(sol, (d.U, d.T)))
-    report.record("diagonals_are_bijections", bad)
-    theorems = check_diagonal_theorems(sol)
-    for key, entry_name in (
-        ("u_that_mutually_inverse", "diagonal_inverse_pairs"),
-        ("t_uhat_mutually_inverse", "diagonal_inverse_pairs"),
-        ("u_t_commute", "diagonals_commute"),
-        ("fixed_points_equivalent", "diagonal_fixed_points_equivalent"),
-    ):
-        report.record(entry_name, [_payload(sol, (key, w)) for w in theorems[key]], checked=1)
-    identity = tuple(range(sol.n))
-    sqf = _is_square_free(sol)
-    report.record(
-        "square_free_iff_trivial_diagonals",
-        []
-        if sqf == (d.U == identity and d.T == identity)
-        else [_payload(sol, (sqf, d.U, d.T))],
-    )
-
-
-def _is_square_free(sol):
-    return all(sol.r(x, x) == (x, x) for x in range(sol.n))
-
-
-def theorem_suite(n_max, seed=0, workers=1):
+def theorem_suite(n_max, workers=1):
     """Run every suite entry over the complete populations up to n_max.
 
     The full battery runs at n <= 3 (n = 3 restricted to the left
@@ -460,8 +433,8 @@ def theorem_suite(n_max, seed=0, workers=1):
     hypotheses accept); n_max = 4 adds the non-degenerate n = 4 population
     for the bijectivity and diagonal entries.
     """
-    if n_max > 4:
-        raise ValueError("the suite is bounded at n_max <= 4")
+    if not 1 <= n_max <= 4:
+        raise SizeTooLarge(f"the suite runs at 1 <= n_max <= 4, got {n_max}")
     t0 = time.perf_counter()
     report = SuiteReport(n_max=n_max)
     for n in range(1, min(n_max, 3) + 1):
@@ -470,20 +443,20 @@ def theorem_suite(n_max, seed=0, workers=1):
         for sol in enumerate_solutions(n, filt, workers=workers):
             count += 1
             props = properties(sol)
-            red, perm = _check_universal(sol, report, seed)
+            red, perm = _check_universal(sol, report, props)
             if props.bijective:
                 _check_bijective(sol, report, props)
             if props.left_nondegenerate:
                 _check_left_nd(sol, report, props)
             if props.nondegenerate:
-                _check_nondegenerate(sol, report, props, red, perm, seed)
+                _check_nondegenerate(sol, report, props, red, perm)
         report.populations[n] = {"filter": filt.signature(), "count": count}
     if n_max >= 4:
         filt = EnumFilter(require_nd=True)
         count = 0
         for sol in enumerate_solutions(4, filt, workers=workers):
             count += 1
-            _check_n4_nondegenerate(sol, report)
+            _check_diagonals(sol, report, properties(sol))
         report.populations[4] = {"filter": filt.signature(), "count": count}
     report.elapsed = time.perf_counter() - t0
     return report

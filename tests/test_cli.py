@@ -132,3 +132,20 @@ def test_suite_n1_and_n2(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["counterexamples"] == 0
     assert report["populations"]["2"]["count"] == 43
+
+
+def test_suite_n_max_above_bound_exits_2(capsys):
+    assert main(["suite", "--n-max", "5"]) == 2
+    assert "n_max" in capsys.readouterr().err
+
+
+def test_suite_n_max_zero_exits_2(capsys):
+    assert main(["suite", "--n-max", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "n_max" in captured.err and captured.out == ""
+
+
+def test_analyze_negative_max_k_exits_2(left_only3_path, capsys):
+    assert main(["analyze", left_only3_path, "--kperm", "--max-k", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--max-k" in captured.err and captured.out == ""

@@ -1,6 +1,9 @@
+from itertools import product
+
 import pytest
 
 from yangbaxter import (
+    EnumFilter,
     NotKPermutational,
     NotLeftNondegenerate,
     SymbolUnavailable,
@@ -8,6 +11,7 @@ from yangbaxter import (
     check_star_conditions,
     closed_form_T_inverse,
     closed_form_U_inverse,
+    enumerate_solutions,
     is_k_permutational,
     is_k_reductive,
     omega_eval,
@@ -15,11 +19,12 @@ from yangbaxter import (
 from yangbaxter.fixtures import left_only3, lyubashenko3, projection, singleton, z3group
 from yangbaxter.omega import (
     DEFAULT_ALPHABET,
+    FULL_ALPHABET,
     SIGMA,
+    SIGMA_HAT_INV,
     SIGMA_INV,
     TAU,
     TAU_INV,
-    _WordSpace,
     action_tables,
     check_reductive_inverse_start,
 )
@@ -53,12 +58,6 @@ def test_symbol_unavailable_on_degenerate_side():
         omega_eval(left_only3(), (TAU_INV,), 0, (0,))
     with pytest.raises(SymbolUnavailable):
         action_tables(left_only3(), ("sigma_hat",))
-
-
-def test_word_space_indexing_matches_iteration():
-    space = _WordSpace((SIGMA, TAU), 3)
-    assert len(space) == 8
-    assert list(space) == [space[i] for i in range(8)]
 
 
 def test_k_permutational_examples():
@@ -165,3 +164,73 @@ def test_reductive_inverse_start_identity():
 def test_default_alphabet_is_sigma_tau():
     assert DEFAULT_ALPHABET == (SIGMA, TAU)
     assert SIGMA_INV == "sigma_inv"
+
+
+# Reference deciders: the brute-force scan over every word, base and argument
+# list, folded independently of the library's tower maps.
+
+
+def _fold(tables, word, x, zs):
+    for s, z in zip(word, zs):
+        x = tables[s][x][z]
+    return x
+
+
+def _scan_permutational(sol, k, alphabet):
+    tables = action_tables(sol, set(alphabet))
+    carrier = range(sol.n)
+    return all(
+        len({_fold(tables, word, x, zs) for x in carrier}) == 1
+        for word in product(alphabet, repeat=k)
+        for zs in product(carrier, repeat=k)
+    )
+
+
+def _scan_reductive(sol, k):
+    tables = action_tables(sol, set(DEFAULT_ALPHABET))
+    carrier = range(sol.n)
+    return all(
+        _fold(tables, word, x, zs) == _fold(tables, word[1:], zs[0], zs[1:])
+        for word in product(DEFAULT_ALPHABET, repeat=k)
+        for x in carrier
+        for zs in product(carrier, repeat=k)
+    )
+
+
+def _assert_matches_scan(sol, k_perm, k_red, alphabets):
+    for alphabet in alphabets:
+        for k in range(k_perm + 1):
+            ok, witness = is_k_permutational(sol, k, alphabet)
+            assert ok == _scan_permutational(sol, k, alphabet), (sol, k, alphabet)
+            if not ok:
+                word, x, y, zs = witness
+                assert set(word) <= set(alphabet)
+                assert omega_eval(sol, word, x, zs) != omega_eval(sol, word, y, zs)
+    for k in range(1, k_red + 1):
+        ok, witness = is_k_reductive(sol, k)
+        assert ok == _scan_reductive(sol, k), (sol, k)
+        if not ok:
+            word, x, zs = witness
+            assert omega_eval(sol, word, x, zs) != omega_eval(sol, word[1:], zs[0], zs[1:])
+
+
+def test_deciders_match_scan_on_suite_populations():
+    sols = [
+        *enumerate_solutions(1),
+        *enumerate_solutions(2),
+        *enumerate_solutions(3, EnumFilter(require_left_nd=True)),
+    ]
+    assert len(sols) == 1 + 43 + 354
+    for sol in sols:
+        _assert_matches_scan(sol, 3, 4, [DEFAULT_ALPHABET])
+    # the inverse alphabets the suite compares against the level
+    for sol in enumerate_solutions(3, EnumFilter(require_nd=True)):
+        _assert_matches_scan(sol, 3, 0, [FULL_ALPHABET, (SIGMA_INV, SIGMA_HAT_INV)])
+
+
+def test_deciders_match_scan_on_nondegenerate_n4():
+    count = 0
+    for sol in enumerate_solutions(4, EnumFilter(require_nd=True)):
+        _assert_matches_scan(sol, 2, 2, [DEFAULT_ALPHABET])
+        count += 1
+    assert count == 1800

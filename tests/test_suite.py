@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import yangbaxter
+import yangbaxter.omega as omega
 from yangbaxter import theorem_suite
 
 
@@ -42,7 +49,43 @@ def test_suite_records_open_question_observations():
 
 
 def test_suite_deterministic():
-    a = theorem_suite(2, seed=7)
-    b = theorem_suite(2, seed=7)
+    a = theorem_suite(2)
+    b = theorem_suite(2)
     assert a.entries == b.entries
     assert a.populations == b.populations
+
+
+CORRUPT_CLOSED_FORM = """
+import yangbaxter.omega as omega
+real = omega._closed_form
+# move every value of the closed form by one, so that it inverts nothing
+omega._closed_form = lambda *args: tuple((v + 1) % len(t) for t in [real(*args)] for v in t)
+"""
+
+
+def test_suite_reports_corrupted_closed_form():
+    scope = {}
+    exec(CORRUPT_CLOSED_FORM, scope)
+    try:
+        report = theorem_suite(2)
+    finally:
+        omega._closed_form = scope["real"]
+    assert report.entries["closed_form_diagonal_inverses"]["failures"]
+    assert not report.ok()
+
+
+def test_suite_reports_corrupted_closed_form_under_optimize():
+    code = CORRUPT_CLOSED_FORM + (
+        "import sys\n"
+        "from yangbaxter import theorem_suite\n"
+        "entry = theorem_suite(2).entries['closed_form_diagonal_inverses']\n"
+        "print(sys.flags.optimize, len(entry['failures']))\n"
+    )
+    src = str(Path(yangbaxter.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    optimize, failures = map(int, proc.stdout.split())
+    assert optimize == 1 and failures > 0
