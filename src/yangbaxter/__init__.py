@@ -6,6 +6,8 @@ from .core import (
     FiniteSolution,
     PropertyReport,
     canonical_form,
+    check_braid_routes,
+    check_inverse,
     invert,
     is_isomorphic,
     properties,
@@ -45,12 +47,21 @@ from .omega import (
     omega_eval,
 )
 from .orbits import OrbitDecomposition, check_orbit_theorem, is_decomposable, orbit_decomposition
-from .qcycle import QCycleSet, from_solution, is_regular, qcycle_diagonals, to_solution, validate_qcycle
+from .qcycle import (
+    QCycleSet,
+    check_qcycle_correspondence,
+    from_solution,
+    is_regular,
+    qcycle_diagonals,
+    to_solution,
+    validate_qcycle,
+)
 from .retract import (
     Partition,
     RetractResult,
     check_compatibility,
     check_relation_coincidence,
+    check_retract,
     check_retract_duality,
     is_irretractable,
     is_trivial,

@@ -13,7 +13,7 @@ and the braid relation compares the two triple compositions of r on X^3.
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .errors import MalformedTable, NotBijective, SizeMismatch, SizeTooLarge
+from .errors import MalformedTable, NotBijective, NotNondegenerate, SizeMismatch, SizeTooLarge
 
 # Exhaustive relabeling is the canonicalization strategy, so cap the carrier.
 CANONICAL_SIZE_CAP = 8
@@ -110,6 +110,11 @@ def right_nondegenerate(sol):
     return all(is_permutation(row) for row in sol.tau)
 
 
+def require_nondegenerate(sol, operation):
+    if not (left_nondegenerate(sol) and right_nondegenerate(sol)):
+        raise NotNondegenerate(f"{operation} needs a non-degenerate solution")
+
+
 def _braid_sides(sol, x, y, z):
     r = sol.r
     # composition is right-to-left: the innermost map acts first
@@ -134,97 +139,83 @@ def _component_identities(sol, x, y, z):
 
 
 def validate_braid(sol):
-    """All triples (x, y, z) where the two sides of the braid relation differ.
-
-    The direct triple-composition route and the component-identity route are
-    both evaluated; they must agree on every triple, which guards the
-    implementation against transcription errors in either form.
-    """
-    n = sol.n
+    """All triples (x, y, z) where the two sides of the braid relation differ,
+    by literal composition of the two triple maps."""
     violations = []
-    for x, y, z in product(range(n), repeat=3):
+    for x, y, z in product(range(sol.n), repeat=3):
         lhs, rhs = _braid_sides(sol, x, y, z)
-        direct_bad = lhs != rhs
-        component_bad = not _component_identities(sol, x, y, z)
-        assert direct_bad == component_bad, (x, y, z)
-        if direct_bad:
+        if lhs != rhs:
             violations.append((x, y, z))
     return violations
 
 
-def _row_collision(row, subscript):
-    seen = {}
-    for y, v in enumerate(row):
-        if v in seen:
-            return (subscript, seen[v], y)
-        seen[v] = y
+def check_braid_routes(sol):
+    """All triples where the literal composition and the component identities
+    disagree on whether the braid relation holds (expected none), which guards
+    each form against transcription errors in the other."""
+    disagreements = []
+    for x, y, z in product(range(sol.n), repeat=3):
+        lhs, rhs = _braid_sides(sol, x, y, z)
+        if (lhs == rhs) != _component_identities(sol, x, y, z):
+            disagreements.append((x, y, z))
+    return disagreements
+
+
+def _row_collision(table):
+    """(subscript, y1, y2) for the first row of table that sends y1 and y2 to
+    the same value, or None when every row is a bijection."""
+    for x, row in enumerate(table):
+        seen = {}
+        for y, v in enumerate(row):
+            if v in seen:
+                return (x, seen[v], y)
+            seen[v] = y
+    return None
+
+
+def bijective_witness(sol):
+    """Two inputs of the pair map with the same image, or None when it is
+    bijective."""
+    image_of = {}
+    for x, y in product(range(sol.n), repeat=2):
+        im = sol.r(x, y)
+        if im in image_of:
+            return (image_of[im], (x, y))
+        image_of[im] = (x, y)
+    return None
+
+
+def involutive_witness(sol):
+    """A pair that r does not send back to itself in two steps, or None."""
+    for x, y in product(range(sol.n), repeat=2):
+        if sol.r(*sol.r(x, y)) != (x, y):
+            return (x, y)
+    return None
+
+
+def square_free_witness(sol):
+    """A point x with r(x, x) != (x, x), or None."""
+    for x in range(sol.n):
+        if sol.r(x, x) != (x, x):
+            return (x,)
     return None
 
 
 def properties(sol):
     """Compute every elementary flag by direct definition, with witnesses."""
-    n = sol.n
-    witnesses = {}
-
     violations = validate_braid(sol)
-    braid_ok = not violations
-    if violations:
-        witnesses["braid_ok"] = violations[0]
-
-    left = True
-    for x in range(n):
-        w = _row_collision(sol.sigma[x], x)
-        if w is not None:
-            left = False
-            witnesses["left_nondegenerate"] = w
-            break
-    right = True
-    for y in range(n):
-        w = _row_collision(sol.tau[y], y)
-        if w is not None:
-            right = False
-            witnesses["right_nondegenerate"] = w
-            break
-    nondeg = left and right
-    if not nondeg:
-        witnesses["nondegenerate"] = witnesses.get(
-            "left_nondegenerate", witnesses.get("right_nondegenerate")
-        )
-
-    bijective = True
-    image_of = {}
-    for x, y in product(range(n), repeat=2):
-        im = sol.r(x, y)
-        if im in image_of:
-            bijective = False
-            witnesses["bijective"] = (image_of[im], (x, y))
-            break
-        image_of[im] = (x, y)
-
-    involutive = True
-    for x, y in product(range(n), repeat=2):
-        u, v = sol.r(x, y)
-        if sol.r(u, v) != (x, y):
-            involutive = False
-            witnesses["involutive"] = (x, y)
-            break
-
-    square_free = True
-    for x in range(n):
-        if sol.r(x, x) != (x, x):
-            square_free = False
-            witnesses["square_free"] = (x,)
-            break
-
+    found = {
+        "braid_ok": violations[0] if violations else None,
+        "left_nondegenerate": _row_collision(sol.sigma),
+        "right_nondegenerate": _row_collision(sol.tau),
+    }
+    found["nondegenerate"] = found["left_nondegenerate"] or found["right_nondegenerate"]
+    found["bijective"] = bijective_witness(sol)
+    found["involutive"] = involutive_witness(sol)
+    found["square_free"] = square_free_witness(sol)
     return PropertyReport(
-        braid_ok=braid_ok,
-        left_nondegenerate=left,
-        right_nondegenerate=right,
-        nondegenerate=nondeg,
-        bijective=bijective,
-        involutive=involutive,
-        square_free=square_free,
-        witnesses=witnesses,
+        **{flag: w is None for flag, w in found.items()},
+        witnesses={flag: w for flag, w in found.items() if w is not None},
     )
 
 
@@ -251,25 +242,37 @@ def invert(sol):
     for (u, v), (x, y) in preimage.items():
         sighat[u][v] = x
         tauhat[v][u] = y
-    inv = FiniteSolution(sighat, tauhat)
+    return FiniteSolution(sighat, tauhat)
 
-    # executable postconditions: r and its inverse cancel in both orders
+
+def check_inverse(sol, inv):
+    """Where inv fails to be the inverse solution of sol (expected none).
+
+    Lists (identity name, point) pairs: the four identities by which r and
+    its inverse cancel in both orders; for left non-degenerate sol, the
+    closed form of the inverted sigma_hat rows through sigma and tau alone;
+    and the braid violations of inv.
+    """
+    n = sol.n
     s, t = sol.sigma, sol.tau
     hs, ht = inv.sigma, inv.tau
+    failures = []
     for x, y in product(range(n), repeat=2):
-        assert s[hs[x][y]][ht[y][x]] == x
-        assert t[ht[y][x]][hs[x][y]] == y
-        assert hs[s[x][y]][t[y][x]] == x
-        assert ht[t[y][x]][s[x][y]] == y
+        if s[hs[x][y]][ht[y][x]] != x or t[ht[y][x]][hs[x][y]] != y:
+            failures.append(("r_after_inverse", (x, y)))
+        if hs[s[x][y]][t[y][x]] != x or ht[t[y][x]][s[x][y]] != y:
+            failures.append(("inverse_after_r", (x, y)))
     if left_nondegenerate(sol):
-        # for left non-degenerate bijective solutions the inverse of each
-        # sigma_hat row is expressible through sigma and tau alone
-        sig_inv = row_inverses(sol.sigma)
-        hs_inv = row_inverses(hs)
-        for x, y in product(range(n), repeat=2):
-            assert hs_inv[x][y] == t[sig_inv[y][x]][y]
-    assert not validate_braid(inv)
-    return inv
+        # sigma_hat[x] sends tau[sigma_y^-1(x)][y] to y for every y, which
+        # makes it the bijection with that inverse
+        sig_inv = row_inverses(s)
+        failures.extend(
+            ("sigma_hat_inverse_form", (x, y))
+            for x, y in product(range(n), repeat=2)
+            if hs[x][t[sig_inv[y][x]][y]] != y
+        )
+    failures.extend(("inverse_braid", v) for v in validate_braid(inv))
+    return failures
 
 
 def relabel(sol, pi):

@@ -8,8 +8,7 @@ one-sided non-degeneracy of its partner and may fail to be a bijection.
 """
 
 from dataclasses import dataclass
-from .core import left_nondegenerate, properties, right_nondegenerate
-from .errors import NotNondegenerate
+from .core import bijective_witness, left_nondegenerate, require_nondegenerate, right_nondegenerate
 
 
 @dataclass(frozen=True)
@@ -32,11 +31,6 @@ def diagonal_maps(sol):
     return DiagonalMaps(U=U, T=T, U_hat=U_hat, T_hat=T_hat)
 
 
-def _require_nondegenerate(sol):
-    if not (left_nondegenerate(sol) and right_nondegenerate(sol)):
-        raise NotNondegenerate("operation needs a non-degenerate solution")
-
-
 def check_diagonal_identities(sol):
     """Pointwise identities tying the four diagonal maps together.
 
@@ -44,7 +38,7 @@ def check_diagonal_identities(sol):
     where it fails; every list is expected to be empty for non-degenerate
     solutions.
     """
-    _require_nondegenerate(sol)
+    require_nondegenerate(sol, "check_diagonal_identities")
     n = sol.n
     s, t = sol.sigma, sol.tau
     d = diagonal_maps(sol)
@@ -84,20 +78,18 @@ def check_diagonal_theorems(sol):
     r(T(x), x) = (T(x), x) and r(x, U(x)) = (x, U(x)) hold everywhere
     together or fail together.
     """
-    _require_nondegenerate(sol)
+    require_nondegenerate(sol, "check_diagonal_theorems")
     n = sol.n
     d = diagonal_maps(sol)
     U, T, Uh, Th = d.U, d.T, d.U_hat, d.T_hat
+    collision = bijective_witness(sol)
     report = {
         "u_that_mutually_inverse": [x for x in range(n) if U[Th[x]] != x or Th[U[x]] != x],
         "t_uhat_mutually_inverse": [x for x in range(n) if T[Uh[x]] != x or Uh[T[x]] != x],
         "u_t_commute": [x for x in range(n) if U[T[x]] != T[U[x]]],
-        "bijective": [],
+        "bijective": [] if collision is None else [collision],
         "fixed_points_equivalent": [],
     }
-    props = properties(sol)
-    if not props.bijective:
-        report["bijective"].append(props.witnesses["bijective"])
     left_fixed = all(sol.r(T[x], x) == (T[x], x) for x in range(n))
     right_fixed = all(sol.r(x, U[x]) == (x, U[x]) for x in range(n))
     if left_fixed != right_fixed:

@@ -98,17 +98,6 @@ def action_table(sol, symbol):
     return action_tables(sol, (symbol,))[symbol]
 
 
-def available_symbols(sol):
-    out = []
-    for s in ALL_SYMBOLS:
-        try:
-            action_tables(sol, (s,))
-        except SymbolUnavailable:
-            continue
-        out.append(s)
-    return tuple(out)
-
-
 def _eval(tables, word, x, zs):
     acc = x
     for sym, z in zip(word, zs):
@@ -267,14 +256,15 @@ def closed_form_T_inverse(sol, k, reductive=False):
     return _check_inverts(table, T, "T")
 
 
-def _invertible_symbols(sol, symbols):
+def _supported(sol, groups):
+    """The first symbol of each group whose action tables all exist."""
     out = []
-    for s in symbols:
+    for group in groups:
         try:
-            action_tables(sol, (s, INVERSE_OF[s]))
+            action_tables(sol, group)
         except SymbolUnavailable:
             continue
-        out.append(s)
+        out.append(group[0])
     return tuple(out)
 
 
@@ -305,10 +295,12 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
     """
     n = sol.n
     carrier = range(n)
-    usable = available_symbols(sol) if symbols is None else tuple(symbols)
-    invertible = _invertible_symbols(sol, usable)
+    if symbols is None:
+        usable = _supported(sol, [(s,) for s in ALL_SYMBOLS])
+    else:
+        usable = tuple(symbols)
     # only pair a symbol with its inverse when both sit in the alphabet
-    invertible = tuple(s for s in invertible if INVERSE_OF[s] in usable)
+    invertible = _supported(sol, [(s, INVERSE_OF[s]) for s in usable if INVERSE_OF[s] in usable])
     tables = action_tables(sol, set(usable) | {INVERSE_OF[s] for s in invertible})
     levels = _tower_levels(tables, usable, n, max_m)
     report = {"seed": seed}

@@ -10,8 +10,8 @@ already generate the closure under inverses.
 from dataclasses import dataclass
 from itertools import product
 
-from .core import FiniteSolution, left_nondegenerate, right_nondegenerate, validate_braid
-from .errors import NotKReductive, NotNondegenerate
+from .core import FiniteSolution, require_nondegenerate
+from .errors import NotKReductive
 from .omega import DEFAULT_ALPHABET, is_k_permutational, is_k_reductive
 from .retract import Partition
 
@@ -39,8 +39,7 @@ def _find(parent, x):
 
 
 def orbit_decomposition(sol):
-    if not (left_nondegenerate(sol) and right_nondegenerate(sol)):
-        raise NotNondegenerate("orbits need a non-degenerate solution")
+    require_nondegenerate(sol, "orbit_decomposition")
     n = sol.n
     parent = list(range(n))
     for y, x in product(range(n), repeat=2):
@@ -54,14 +53,10 @@ def orbit_decomposition(sol):
     suborbits = []
     for block in partition.blocks():
         index = {e: i for i, e in enumerate(block)}
-        # closure: every translation by any carrier element stays in the block
-        for y, e in product(range(n), tuple(block)):
-            assert sol.sigma[y][e] in index and sol.tau[y][e] in index
         m = len(block)
         sub_sigma = [[index[sol.sigma[block[a]][block[b]]] for b in range(m)] for a in range(m)]
         sub_tau = [[index[sol.tau[block[a]][block[b]]] for b in range(m)] for a in range(m)]
         sub = FiniteSolution(sub_sigma, sub_tau)
-        assert not validate_braid(sub)
         suborbits.append(Suborbit(elements=tuple(block), solution=sub))
     return OrbitDecomposition(partition=partition, suborbits=tuple(suborbits))
 

@@ -11,6 +11,7 @@ from itertools import product
 
 from .core import (
     FiniteSolution,
+    _as_table,
     invert,
     is_permutation,
     left_nondegenerate,
@@ -19,19 +20,6 @@ from .core import (
     validate_braid,
 )
 from .errors import InvalidQCycle, MalformedTable, NotBijective, NotLeftNondegenerate
-
-
-def _as_table(rows, n, name):
-    rows = tuple(tuple(row) for row in rows)
-    if len(rows) != n:
-        raise MalformedTable(f"{name} must have {n} rows, got {len(rows)}")
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise MalformedTable(f"{name} row {i} must have {n} entries, got {len(row)}")
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                raise MalformedTable(f"{name}[{i}] entry {v!r} out of range 0..{n - 1}")
-    return rows
 
 
 class QCycleSet:
@@ -93,17 +81,7 @@ def from_solution(sol):
     colon = tuple(
         tuple(sol.tau[sig_inv[y][x]][y] for y in range(n)) for x in range(n)
     )
-    q = QCycleSet(dot, colon)
-    assert not validate_qcycle(q)
-    try:
-        inv = invert(sol)
-    except NotBijective:
-        inv = None
-    if inv is not None:
-        # for regular solutions the colon rows invert the hatted left rows
-        for x in range(n):
-            assert q.colon[x] == perm_inverse(inv.sigma[x])
-    return q
+    return QCycleSet(dot, colon)
 
 
 def to_solution(q):
@@ -118,10 +96,35 @@ def to_solution(q):
     tau = tuple(
         tuple(q.colon[dot_inv[x][y]][x] for x in range(n)) for y in range(n)
     )
-    sol = FiniteSolution(sigma, tau)
-    assert not validate_braid(sol)
-    assert left_nondegenerate(sol)
-    return sol
+    return FiniteSolution(sigma, tau)
+
+
+def check_qcycle_correspondence(sol, q):
+    """Where q = from_solution(sol) breaks the correspondence (expected none).
+
+    Lists (name, point) pairs: the axiom violations of q; the braid
+    violations and degenerate left rows of to_solution(q); and, when the
+    pair map of sol is bijective, the colon rows of q that do not invert the
+    left rows of the inverse solution.
+    """
+    failures = [("qcycle_axiom", v) for v in validate_qcycle(q)]
+    if failures:
+        return failures
+    back = to_solution(q)
+    failures.extend(("solution_braid", v) for v in validate_braid(back))
+    failures.extend(
+        ("solution_left_row", x) for x in range(back.n) if not is_permutation(back.sigma[x])
+    )
+    try:
+        inv = invert(sol)
+    except NotBijective:
+        return failures
+    failures.extend(
+        ("colon_inverts_hat_row", x)
+        for x in range(q.n)
+        if q.colon[x] != perm_inverse(inv.sigma[x])
+    )
+    return failures
 
 
 def qcycle_diagonals(q):

@@ -15,11 +15,11 @@ from .core import (
     FiniteSolution,
     invert,
     left_nondegenerate,
-    right_nondegenerate,
+    require_nondegenerate,
     row_inverses,
     validate_braid,
 )
-from .errors import CompatibilityError, NotLeftNondegenerate, NotNondegenerate
+from .errors import CompatibilityError, NotLeftNondegenerate
 from .omega import SIGMA, TAU, action_table
 
 
@@ -50,6 +50,14 @@ class Partition:
 
     def num_blocks(self):
         return len(set(self.block_of))
+
+    def quotient(self, *tables):
+        """The projection onto the blocks, numbered by increasing
+        representative, and each table induced on the representatives."""
+        reps = sorted(set(self.block_of))
+        index = {rep: i for i, rep in enumerate(reps)}
+        projection = tuple(index[rep] for rep in self.block_of)
+        return projection, [[[projection[t[a][b]] for b in reps] for a in reps] for t in tables]
 
 
 @dataclass(frozen=True)
@@ -108,33 +116,35 @@ def retract(sol):
         witness = check_compatibility(sol, partition, op)
         if witness is not None:
             raise CompatibilityError(op, witness)
-    reps = sorted(set(partition.block_of))
-    index = {rep: i for i, rep in enumerate(reps)}
-    projection = tuple(index[partition.block_of[x]] for x in range(sol.n))
-    m = len(reps)
-    qsigma = [[projection[sol.sigma[reps[a]][reps[b]]] for b in range(m)] for a in range(m)]
-    qtau = [[projection[sol.tau[reps[a]][reps[b]]] for b in range(m)] for a in range(m)]
-    quotient = FiniteSolution(qsigma, qtau)
-    assert not validate_braid(quotient)
+    projection, (qsigma, qtau) = partition.quotient(sol.sigma, sol.tau)
+    return RetractResult(quotient=FiniteSolution(qsigma, qtau), projection=projection)
+
+
+def check_retract(sol, result):
+    """Where result = retract(sol) fails to be a retract (expected none).
+
+    Lists (name, point) pairs: the braid violations of the quotient, and the
+    pairs (x, y) on which the projection fails to carry sigma or tau onto the
+    quotient tables.
+    """
+    p, q = result.projection, result.quotient
+    failures = [("quotient_braid", v) for v in validate_braid(q)]
     for x, y in product(range(sol.n), repeat=2):
-        assert projection[sol.sigma[x][y]] == quotient.sigma[projection[x]][projection[y]]
-        assert projection[sol.tau[x][y]] == quotient.tau[projection[x]][projection[y]]
-    return RetractResult(quotient=quotient, projection=projection)
+        if p[sol.sigma[x][y]] != q.sigma[p[x]][p[y]]:
+            failures.append(("sigma_homomorphism", (x, y)))
+        if p[sol.tau[x][y]] != q.tau[p[x]][p[y]]:
+            failures.append(("tau_homomorphism", (x, y)))
+    return failures
 
 
 def is_irretractable(sol):
     return retract_relation(sol, "forward").num_blocks() == sol.n
 
 
-def _require_nondegenerate(sol):
-    if not (left_nondegenerate(sol) and right_nondegenerate(sol)):
-        raise NotNondegenerate("retract towers need a non-degenerate solution")
-
-
 def mpl(sol):
     """Least height at which the iterated retract collapses to one element,
     or None when the tower stabilizes on a larger irretractable solution."""
-    _require_nondegenerate(sol)
+    require_nondegenerate(sol, "mpl")
     cur = sol
     k = 0
     while cur.n > 1:
@@ -143,7 +153,6 @@ def mpl(sol):
             return None
         cur = step.quotient
         k += 1
-        assert k <= sol.n
     return k
 
 
@@ -157,7 +166,7 @@ def is_trivial(sol):
 def mpl_prime(sol):
     """Least height at which the iterated retract becomes a trivial solution,
     possibly of size above one; None when the tower stabilizes non-trivially."""
-    _require_nondegenerate(sol)
+    require_nondegenerate(sol, "mpl_prime")
     cur = sol
     k = 0
     while not is_trivial(cur):
@@ -166,7 +175,6 @@ def mpl_prime(sol):
             return None
         cur = step.quotient
         k += 1
-        assert k <= sol.n
     return k
 
 
@@ -176,7 +184,7 @@ def check_relation_coincidence(sol):
     Returns a dict with the three block tables and a list of the relation
     pairs that differ (expected empty).
     """
-    _require_nondegenerate(sol)
+    require_nondegenerate(sol, "check_relation_coincidence")
     parts = {kind: retract_relation(sol, kind) for kind in RELATION_KINDS}
     disagreements = [
         (a, b)
@@ -194,7 +202,7 @@ def check_retract_duality(sol):
     """The retract of the inverse solution is the inverse of the retract, and
     both have the same multipermutation level.  Returns a failure dict per
     check (all entries expected empty/True)."""
-    _require_nondegenerate(sol)
+    require_nondegenerate(sol, "check_retract_duality")
     inv = invert(sol)
     ret = retract(sol)
     ret_inv = retract(inv)

@@ -19,17 +19,24 @@ frozen one.
 """
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 from importlib import resources
 from itertools import permutations, product
 
 import numpy as np
 
-from .core import FiniteSolution, canonical_form
+from .core import (
+    FiniteSolution,
+    bijective_witness,
+    canonical_form,
+    involutive_witness,
+    square_free_witness,
+)
 from .errors import ParseError, SizeTooLarge
 
 MAX_N_UNRESTRICTED = 4
-MAX_N_NONDEGENERATE = 5
+MAX_N_NONDEGENERATE = 4
 
 _FLAG_ORDER = (
     "require_left_nd",
@@ -110,29 +117,13 @@ def _row_options(n, perms_only):
     return [tuple(r) for r in product(range(n), repeat=n)]
 
 
-def _is_bijective_pair_map(sol):
-    return len({sol.r(x, y) for x in range(sol.n) for y in range(sol.n)}) == sol.n**2
-
-
-def _is_involutive(sol):
-    for x, y in product(range(sol.n), repeat=2):
-        u, v = sol.r(x, y)
-        if sol.r(u, v) != (x, y):
-            return False
-    return True
-
-
-def _is_square_free(sol):
-    return all(sol.r(x, x) == (x, x) for x in range(sol.n))
-
-
 def _passes(sol, filt):
     # row-shape filters are enforced by generation; only pair-map predicates remain
-    if filt.require_bijective and not _is_bijective_pair_map(sol):
+    if filt.require_bijective and bijective_witness(sol) is not None:
         return False
-    if filt.require_involutive and not _is_involutive(sol):
+    if filt.require_involutive and involutive_witness(sol) is not None:
         return False
-    if filt.require_square_free and not _is_square_free(sol):
+    if filt.require_square_free and square_free_witness(sol) is not None:
         return False
     return True
 
@@ -229,7 +220,7 @@ def enumerate_solutions(n, filt=EnumFilter(), workers=1):
     _check_bounds(n, filt)
     if workers > 1:
         tasks = [(n, filt, row) for row in _row_options(n, filt.left_rows_permutations)]
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(min(workers, len(tasks), os.cpu_count() or 1)) as pool:
             chunks = pool.map(_worker, tasks)
         raw = (sol for chunk in chunks for sol in chunk)
     else:

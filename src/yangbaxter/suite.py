@@ -17,7 +17,10 @@ import time
 from dataclasses import dataclass, field
 
 from .core import (
+    check_braid_routes,
+    check_inverse,
     invert,
+    is_permutation,
     left_nondegenerate,
     perm_inverse,
     properties,
@@ -43,11 +46,18 @@ from .omega import (
     is_k_permutational,
     is_k_reductive,
 )
-from .orbits import check_orbit_theorem, is_decomposable, orbit_decomposition
-from .qcycle import from_solution, is_regular, qcycle_diagonals, to_solution
+from .orbits import check_orbit_theorem, is_decomposable
+from .qcycle import (
+    check_qcycle_correspondence,
+    from_solution,
+    is_regular,
+    qcycle_diagonals,
+    to_solution,
+)
 from .retract import (
     check_compatibility,
     check_relation_coincidence,
+    check_retract,
     check_retract_duality,
     is_trivial,
     mpl,
@@ -109,7 +119,9 @@ def _payload(sol, detail):
 
 def _check_universal(sol, report, props):
     """Claims whose hypotheses any braid-valid solution meets."""
-    report.record("braid_routes_agree", [_payload(sol, v) for v in validate_braid(sol)])
+    bad = [_payload(sol, v) for v in validate_braid(sol)]
+    bad.extend(_payload(sol, ("routes disagree", v)) for v in check_braid_routes(sol))
+    report.record("braid_routes_agree", bad)
 
     red = {k: is_k_reductive(sol, k)[0] for k in range(1, K_RED_MAX + 1)}
     perm = {k: is_k_permutational(sol, k)[0] for k in range(0, K_PERM_MAX + 1)}
@@ -146,10 +158,10 @@ def _check_universal(sol, report, props):
 
 def _check_bijective(sol, report, props):
     inv = invert(sol)
-    report.record(
-        "invert_is_involution",
-        [] if invert(inv) == sol else [_payload(sol, "double inverse differs")],
-    )
+    bad = [_payload(sol, f) for f in check_inverse(sol, inv)]
+    if invert(inv) != sol:
+        bad.append(_payload(sol, "double inverse differs"))
+    report.record("invert_is_involution", bad)
     inv_props = properties(inv)
     report.record(
         "inverse_nondegenerate_iff",
@@ -193,7 +205,7 @@ def _check_left_nd(sol, report, props):
             )
 
     q = from_solution(sol)
-    bad = []
+    bad = [_payload(sol, f) for f in check_qcycle_correspondence(sol, q)]
     if to_solution(q) != sol:
         bad.append(_payload(sol, "solution round trip broke"))
     if from_solution(to_solution(q)) != q:
@@ -231,15 +243,8 @@ def _regular_colon_checks(sol, q, report):
     report.record("colon_relation_compatibilities", bad)
 
     # open question: does the colon quotient keep invertible rows?
-    reps = sorted(set(colon_part.block_of))
-    index = {rep: i for i, rep in enumerate(reps)}
-    proj = [index[colon_part.block_of[x]] for x in range(sol.n)]
-    m = len(reps)
-    qdot = [[proj[q.dot[reps[a]][reps[b]]] for b in range(m)] for a in range(m)]
-    qcolon = [[proj[q.colon[reps[a]][reps[b]]] for b in range(m)] for a in range(m)]
-    rows_invertible = all(len(set(row)) == m for row in qdot) and all(
-        len(set(row)) == m for row in qcolon
-    )
+    _, (qdot, qcolon) = colon_part.quotient(q.dot, q.colon)
+    rows_invertible = all(is_permutation(row) for row in qdot + qcolon)
     obs = report.observations.setdefault(
         "colon_quotient_rows_invertible", {"yes": 0, "no": 0, "examples_no": []}
     )
@@ -305,12 +310,10 @@ def _check_nondegenerate(sol, report, props, red, perm):
         )
 
     ret = retract(sol)
-    report.record(
-        "retract_quotient_nondegenerate",
-        []
-        if left_nondegenerate(ret.quotient) and right_nondegenerate(ret.quotient)
-        else [_payload(sol, ret.quotient)],
-    )
+    bad = [_payload(sol, f) for f in check_retract(sol, ret)]
+    if not (left_nondegenerate(ret.quotient) and right_nondegenerate(ret.quotient)):
+        bad.append(_payload(sol, ret.quotient))
+    report.record("retract_quotient_nondegenerate", bad)
 
     forward = retract_relation(sol, "forward")
     bad = []
@@ -420,9 +423,6 @@ def _check_nondegenerate(sol, report, props, red, perm):
         except ClosedFormMismatch as exc:
             bad.append(_payload(sol, ("reductive_form", first_red, exc.witness)))
     report.record("closed_form_diagonal_inverses", bad)
-
-    # orbit blocks certified closed and braid-valid inside orbit_decomposition
-    orbit_decomposition(sol)
 
 
 def theorem_suite(n_max, workers=1):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from yangbaxter import search
 from yangbaxter.cli import main
 from yangbaxter.documents import save_document, solution_to_document
 from yangbaxter.fixtures import fixture_path, left_only3
@@ -122,6 +123,16 @@ def test_enumerate_census_left_nd_n3(capsys):
 def test_enumerate_size_limit_exits_2(capsys):
     assert main(["enumerate", "9"]) == 2
     assert "SizeTooLarge" in capsys.readouterr().err
+
+
+def test_enumerate_nd_above_bound_exits_2(monkeypatch, capsys):
+    def no_search(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(search, "_raw_stream", no_search)
+    assert main(["enumerate", "5", "--nd"]) == 2
+    captured = capsys.readouterr()
+    assert "SizeTooLarge" in captured.err and "non-degenerate search at 4" in captured.err
 
 
 def test_suite_n1_and_n2(capsys):

@@ -8,6 +8,8 @@ from yangbaxter import (
     NotBijective,
     SizeMismatch,
     canonical_form,
+    check_braid_routes,
+    check_inverse,
     invert,
     is_isomorphic,
     properties,
@@ -54,6 +56,7 @@ def braid_violations_oracle(sol):
 def test_fixtures_are_braid_valid(sol):
     assert validate_braid(sol) == []
     assert braid_violations_oracle(sol) == []
+    assert check_braid_routes(sol) == []
 
 
 def test_braid_violations_found_and_match_oracle():
@@ -61,6 +64,8 @@ def test_braid_violations_found_and_match_oracle():
     violations = validate_braid(bad)
     assert violations == braid_violations_oracle(bad)
     assert violations == [(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
+    # the component identities fail on exactly the same triples
+    assert check_braid_routes(bad) == []
 
 
 def test_malformed_tables_rejected():
@@ -110,15 +115,22 @@ def test_invert_involutive_returns_same_tables():
 
 
 def test_invert_lyubashenko_gives_inverse_cycles():
-    inv = invert(lyubashenko3())
+    sol = lyubashenko3()
+    inv = invert(sol)
     finv = (2, 0, 1)
     assert inv.sigma == tuple(finv for _ in range(3))
     assert inv.tau == tuple(finv for _ in range(3))
+    assert check_inverse(sol, inv) == []
+    # r is not an involution, so it is no inverse of itself
+    assert {name for name, _ in check_inverse(sol, sol)} == {
+        "r_after_inverse", "inverse_after_r", "sigma_hat_inverse_form"
+    }
 
 
 def test_invert_twice_is_identity():
     for sol in (projection(3), lyubashenko3(), derived2()):
         assert invert(invert(sol)) == sol
+        assert check_inverse(sol, invert(sol)) == []
 
 
 def test_invert_rejects_noninjective_pair_map():

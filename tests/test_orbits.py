@@ -1,10 +1,14 @@
+from itertools import product
+
 import pytest
 
 from yangbaxter import (
+    EnumFilter,
     FiniteSolution,
     NotKReductive,
     NotNondegenerate,
     check_orbit_theorem,
+    enumerate_solutions,
     is_decomposable,
     orbit_decomposition,
     validate_braid,
@@ -39,11 +43,24 @@ def test_suborbits_are_braid_valid_and_reindexed():
     # block-diagonal union of a 2-element projection and a singleton
     sigma = ((0, 1, 2), (0, 1, 2), (0, 1, 2))
     tau = ((0, 1, 2), (0, 1, 2), (0, 1, 2))
-    sol = FiniteSolution(sigma, tau)
-    decomp = orbit_decomposition(sol)
-    assert decomp.partition.num_blocks() == 3
-    for sub in decomp.suborbits:
-        assert validate_braid(sub.solution) == []
+    block_diagonal = FiniteSolution(sigma, tau)
+    assert orbit_decomposition(block_diagonal).partition.num_blocks() == 3
+    population = [
+        sol for n in (1, 2, 3) for sol in enumerate_solutions(n, EnumFilter(require_nd=True))
+    ]
+    for sol in [block_diagonal] + population:
+        decomp = orbit_decomposition(sol)
+        assert [sub.elements for sub in decomp.suborbits] == decomp.partition.blocks()
+        for sub in decomp.suborbits:
+            block, local = sub.elements, sub.solution
+            # closed under every translation, by any carrier element
+            for y, x in product(range(sol.n), block):
+                assert sol.sigma[y][x] in block and sol.tau[y][x] in block
+            # local index i stands for block[i]
+            for a, b in product(range(len(block)), repeat=2):
+                assert block[local.sigma[a][b]] == sol.sigma[block[a]][block[b]]
+                assert block[local.tau[a][b]] == sol.tau[block[a]][block[b]]
+            assert validate_braid(local) == []
 
 
 def test_decomposability():

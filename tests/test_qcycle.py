@@ -4,6 +4,7 @@ from yangbaxter import (
     InvalidQCycle,
     NotLeftNondegenerate,
     QCycleSet,
+    check_qcycle_correspondence,
     from_solution,
     is_regular,
     qcycle_diagonals,
@@ -42,6 +43,15 @@ def test_perturbed_colon_breaks_axioms():
     colon[0][0] = 1
     q = QCycleSet(q0.dot, colon)
     assert validate_qcycle(q) != []
+    bad = check_qcycle_correspondence(to_solution(q0), q)
+    assert bad and {name for name, _ in bad} == {"qcycle_axiom"}
+
+
+def test_correspondence_check_flags_a_foreign_qcycle():
+    # a valid q-cycle set, but its colon rows invert the identity, not the
+    # inverted-solution left rows of the 3-cycle solution
+    bad = check_qcycle_correspondence(lyubashenko3(), from_solution(projection(3)))
+    assert bad == [("colon_inverts_hat_row", x) for x in range(3)]
 
 
 def test_to_solution_rejects_invalid():
@@ -71,6 +81,7 @@ def test_round_trip_on_fixtures():
     for sol in (singleton(), projection(2), left_only3(), lyubashenko3(), z3group()):
         q = from_solution(sol)
         assert validate_qcycle(q) == []
+        assert check_qcycle_correspondence(sol, q) == []
         assert to_solution(q) == sol
         assert from_solution(to_solution(q)) == q
 
@@ -78,6 +89,7 @@ def test_round_trip_on_fixtures():
 def test_round_trip_on_complete_left_nd_population_n2():
     for sol in enumerate_solutions(2, EnumFilter(require_left_nd=True)):
         q = from_solution(sol)
+        assert check_qcycle_correspondence(sol, q) == []
         assert to_solution(q) == sol
         assert from_solution(to_solution(q)) == q
 

@@ -5,8 +5,10 @@ from yangbaxter import (
     FiniteSolution,
     NotLeftNondegenerate,
     NotNondegenerate,
+    RetractResult,
     check_compatibility,
     check_relation_coincidence,
+    check_retract,
     check_retract_duality,
     is_irretractable,
     is_trivial,
@@ -15,7 +17,14 @@ from yangbaxter import (
     retract,
     retract_relation,
 )
-from yangbaxter.fixtures import left_only3, lyubashenko3, projection, singleton, z3group
+from yangbaxter.fixtures import (
+    left_only3,
+    lyubashenko,
+    lyubashenko3,
+    projection,
+    singleton,
+    z3group,
+)
 
 
 def test_forward_relation_blocks_left_only3():
@@ -67,6 +76,12 @@ def test_retract_collapses_constant_families():
     res = retract(lyubashenko3())
     assert res.quotient.n == 1
     assert res.projection == (0, 0, 0)
+    assert check_retract(lyubashenko3(), res) == []
+    # a two-element quotient whose tables the projection does not carry
+    wrong = RetractResult(quotient=lyubashenko((1, 0), (1, 0)), projection=(0, 0, 0))
+    assert {name for name, _ in check_retract(lyubashenko3(), wrong)} == {
+        "sigma_homomorphism", "tau_homomorphism"
+    }
 
 
 def test_retract_of_singleton_is_itself():

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import pytest
 
 from yangbaxter import (
@@ -108,6 +111,30 @@ def test_worker_count_does_not_change_stream():
     assert list(enumerate_solutions(3, filt, workers=2)) == list(
         enumerate_solutions(3, filt, workers=1)
     )
+
+
+def test_worker_pool_is_clamped(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        # records the requested size and maps in-process: no worker starts
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    stream = list(enumerate_solutions(2, EnumFilter(), workers=10**6))
+    # n = 2 without filters splits into one task per left row, 4 in all
+    assert sizes == [min(4, os.cpu_count() or 1)]
+    assert stream == list(enumerate_solutions(2, EnumFilter()))
 
 
 def test_census_deterministic_across_workers():

@@ -3,8 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import yangbaxter
-import yangbaxter.omega as omega
 from yangbaxter import theorem_suite
 
 
@@ -55,30 +56,52 @@ def test_suite_deterministic():
     assert a.populations == b.populations
 
 
-CORRUPT_CLOSED_FORM = """
-import yangbaxter.omega as omega
-real = omega._closed_form
+# Each corruption swaps one library function (looked up where the suite or
+# the check calls it) for a wrong one; the suite must report it under the
+# named entry, also under python -O, where no assert runs.
+CORRUPTIONS = {
+    "closed_form_diagonal_inverses": """
+import yangbaxter.omega as target
+name = "_closed_form"
+real = target._closed_form
 # move every value of the closed form by one, so that it inverts nothing
-omega._closed_form = lambda *args: tuple((v + 1) % len(t) for t in [real(*args)] for v in t)
-"""
+target._closed_form = lambda *args: tuple((v + 1) % len(t) for t in [real(*args)] for v in t)
+""",
+    "invert_is_involution": """
+import yangbaxter.suite as target
+name = "invert"
+real = target.invert
+# hand the solution back as its own inverse: inverting twice still returns
+# the input, so only check_inverse can tell on a non-involutive solution
+target.invert = lambda sol: sol
+""",
+    "braid_routes_agree": """
+import yangbaxter.core as target
+name = "_component_identities"
+real = target._component_identities
+target._component_identities = lambda *args: not real(*args)
+""",
+}
 
 
-def test_suite_reports_corrupted_closed_form():
+@pytest.mark.parametrize("entry", sorted(CORRUPTIONS))
+def test_suite_reports_corruption(entry):
     scope = {}
-    exec(CORRUPT_CLOSED_FORM, scope)
+    exec(CORRUPTIONS[entry], scope)
     try:
         report = theorem_suite(2)
     finally:
-        omega._closed_form = scope["real"]
-    assert report.entries["closed_form_diagonal_inverses"]["failures"]
+        setattr(scope["target"], scope["name"], scope["real"])
+    assert report.entries[entry]["failures"]
     assert not report.ok()
 
 
-def test_suite_reports_corrupted_closed_form_under_optimize():
-    code = CORRUPT_CLOSED_FORM + (
+@pytest.mark.parametrize("entry", sorted(CORRUPTIONS))
+def test_suite_reports_corruption_under_optimize(entry):
+    code = CORRUPTIONS[entry] + (
         "import sys\n"
         "from yangbaxter import theorem_suite\n"
-        "entry = theorem_suite(2).entries['closed_form_diagonal_inverses']\n"
+        f"entry = theorem_suite(2).entries[{entry!r}]\n"
         "print(sys.flags.optimize, len(entry['failures']))\n"
     )
     src = str(Path(yangbaxter.__file__).resolve().parents[1])
