@@ -275,13 +275,18 @@ def check_inverse(sol, inv):
     return failures
 
 
+def _relabeled_tables(sol, pi):
+    """The (sigma, tau) tuples of sol transported along pi, unvalidated."""
+    pinv = perm_inverse(pi)
+    return tuple(
+        tuple(tuple([pi[table[i][j]] for j in pinv]) for i in pinv)
+        for table in (sol.sigma, sol.tau)
+    )
+
+
 def relabel(sol, pi):
     """Transport the tables along the carrier bijection pi."""
-    n = sol.n
-    pinv = perm_inverse(pi)
-    sigma = [[pi[sol.sigma[pinv[i]][pinv[j]]] for j in range(n)] for i in range(n)]
-    tau = [[pi[sol.tau[pinv[i]][pinv[j]]] for j in range(n)] for i in range(n)]
-    return FiniteSolution(sigma, tau)
+    return FiniteSolution(*_relabeled_tables(sol, pi))
 
 
 def is_isomorphic(a, b):
@@ -298,10 +303,5 @@ def canonical_form(sol):
     """Lexicographically minimal relabeling; identical across an isomorphism class."""
     if sol.n > CANONICAL_SIZE_CAP:
         raise SizeTooLarge(f"canonical form capped at n <= {CANONICAL_SIZE_CAP}")
-    best = None
-    for pi in permutations(range(sol.n)):
-        cand = relabel(sol, pi)
-        key = (cand.sigma, cand.tau)
-        if best is None or key < best_key:
-            best, best_key = cand, key
-    return best
+    best = min(_relabeled_tables(sol, pi) for pi in permutations(range(sol.n)))
+    return FiniteSolution(*best)

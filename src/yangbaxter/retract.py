@@ -96,12 +96,16 @@ def check_compatibility(sol, partition, op):
     partition is compatible with the operation.  op is any action symbol name
     accepted by the tower machinery."""
     table = action_table(sol, op)
-    n = sol.n
-    for x1, x2, y1, y2 in product(range(n), repeat=4):
-        if not (partition.same_block(x1, x2) and partition.same_block(y1, y2)):
-            continue
-        if not partition.same_block(table[x1][y1], table[x2][y2]):
-            return (x1, x2, y1, y2)
+    block_of = partition.block_of
+    # each block's representative is its least member, so this walks the
+    # related quadruples in lexicographic order
+    members = {block[0]: block for block in partition.blocks()}
+    for x1 in range(sol.n):
+        for x2 in members[block_of[x1]]:
+            for y1 in range(sol.n):
+                for y2 in members[block_of[y1]]:
+                    if block_of[table[x1][y1]] != block_of[table[x2][y2]]:
+                        return (x1, x2, y1, y2)
     return None
 
 

@@ -2,11 +2,19 @@
 
 Two independent routes produce the same populations:
 
-* ``enumerate_solutions`` is the production search: it fixes the left table
-  (row by row, permutation rows when a left-sided filter asks for them), then
-  fills the right table cell by cell, checking after every assignment each
-  braid component identity whose lookups are all determined and backtracking
-  on the first violation.
+* ``enumerate_solutions`` is the production search.  It fixes the left table
+  row by row (permutation rows when a left-sided filter asks for them), then
+  fills the right table cell by cell.  The first braid component,
+  sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)}, reads the right table
+  only at the cell tau[y][x], so the left table alone decides which values
+  that cell may take: the t whose row sigma_t solves
+  sigma_{sigma_x(y)} p = sigma_x sigma_y.  A left table with a cell that
+  allows no value is skipped before any right-table search, and once all left
+  rows but the last are placed, the last row is drawn only from the rows that
+  the cells fixed by the placed rows still need.  The right-table search
+  walks each cell's allowed values and, after every assignment, checks each
+  instance of the second and third components whose lookups are all
+  determined, backtracking on the first violation.
 
 * ``oracle_enumerate`` is the deliberately unpruned cross-check: a full scan
   of every candidate table pair, testing the braid relation by literal
@@ -128,21 +136,88 @@ def _passes(sol, filt):
     return True
 
 
-def _partial_consistent(n, sigma, tau, row, col):
-    """Check every braid component instance whose lookups are determined.
+class _FirstComponent:
+    """Braid component 1, sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)},
+    decided on the left table alone.
 
-    The first component reads the right table only at the just-assigned cell,
-    so it is checked exactly for that cell; the mixed and right components are
-    rescanned with undetermined lookups skipped.  Pruning only ever happens on
-    a fully determined violation, so no completion is lost.
+    The component reads the right table only at the cell tau[y][x], so that
+    cell may hold t exactly when the row sigma_t solves
+    sigma_{sigma_x(y)} p = sigma_x sigma_y.  Row compositions and solution
+    sets are cached per row pair, for the rows of one stream.
     """
-    t = tau[row][col]
-    srow = sigma[col]
-    target = sigma[sigma[col][row]]
-    stext = sigma[t]
-    for z in range(n):
-        if srow[sigma[row][z]] != target[stext[z]]:
-            return False
+
+    def __init__(self, row_opts):
+        self._row_opts = row_opts
+        self._composed = {}
+        self._solutions = {}
+
+    def solution_rows(self, sigma, x, y):
+        """The left rows p with sigma_{sigma_x(y)} p = sigma_x sigma_y."""
+        key = (sigma[x], sigma[y])
+        comp = self._composed.get(key)
+        if comp is None:
+            outer, inner = key
+            comp = self._composed[key] = tuple(outer[v] for v in inner)
+        key = (sigma[sigma[x][y]], comp)
+        rows = self._solutions.get(key)
+        if rows is None:
+            outer, target = key
+            rows = self._solutions[key] = frozenset(
+                p for p in self._row_opts if all(outer[v] == w for v, w in zip(p, target))
+            )
+        return rows
+
+    def last_rows(self, placed):
+        """The rows that may complete a left table whose rows but the last
+        are placed, in lexicographic order.
+
+        A pair (x, y) whose rows x, y and sigma_x(y) are all placed fixes the
+        solution rows of the cell tau[y][x]; when none of them is placed,
+        only the last row can serve that cell.
+        """
+        last = len(placed)
+        allowed = None
+        for x, y in product(range(last), repeat=2):
+            if placed[x][y] == last:
+                continue
+            rows = self.solution_rows(placed, x, y)
+            if rows.isdisjoint(placed):
+                allowed = rows if allowed is None else allowed & rows
+        if allowed is None:
+            return self._row_opts
+        return [row for row in self._row_opts if row in allowed]
+
+    def left_tables(self, n, heads):
+        """Left tables with the given first rows, in lexicographic order,
+        skipping the last rows ruled out by last_rows."""
+        if n == 1:
+            for head in heads:
+                yield (head,)
+            return
+        for head in heads:
+            for middle in product(self._row_opts, repeat=n - 2):
+                placed = (head,) + middle
+                for last in self.last_rows(placed):
+                    yield placed + (last,)
+
+    def cell_values(self, sigma):
+        """The values component 1 allows in each right-table cell, in
+        row-major cell order, or None when some cell allows none."""
+        n = len(sigma)
+        cells = []
+        for y, x in product(range(n), repeat=2):
+            rows = self.solution_rows(sigma, x, y)
+            values = [t for t in range(n) if sigma[t] in rows]
+            if not values:
+                return None
+            cells.append(values)
+        return cells
+
+
+def _rest_consistent(n, sigma, tau):
+    """Check every instance of braid components 2 and 3 whose lookups are
+    determined, skipping undetermined ones.  Pruning only ever happens on a
+    fully determined violation, so no completion is lost."""
     for x, y in product(range(n), repeat=2):
         v1 = tau[y][x]
         if v1 is None:
@@ -165,9 +240,9 @@ def _partial_consistent(n, sigma, tau, row, col):
     return True
 
 
-def _tau_completions(n, sigma, right_perms):
+def _tau_completions(n, sigma, cells, right_perms):
     """Depth-first stream of complete right tables consistent with sigma, in
-    lexicographic order."""
+    lexicographic order; cells lists the values component 1 allows per cell."""
     tau = [[None] * n for _ in range(n)]
     used = [set() for _ in range(n)]
 
@@ -176,12 +251,12 @@ def _tau_completions(n, sigma, right_perms):
             yield tuple(tuple(r) for r in tau)
             return
         row, col = divmod(idx, n)
-        for t in range(n):
+        for t in cells[idx]:
             if right_perms and t in used[row]:
                 continue
             tau[row][col] = t
             used[row].add(t)
-            if _partial_consistent(n, sigma, tau, row, col):
+            if _rest_consistent(n, sigma, tau):
                 yield from place(idx + 1)
             used[row].discard(t)
         tau[row][col] = None
@@ -191,17 +266,16 @@ def _tau_completions(n, sigma, right_perms):
 
 def _raw_stream(n, filt, first_row=None):
     row_opts = _row_options(n, filt.left_rows_permutations)
-    if first_row is None:
-        heads = row_opts
-    else:
-        heads = [first_row]
-    for head in heads:
-        for rest in product(row_opts, repeat=n - 1):
-            sigma = (head,) + rest
-            for tau in _tau_completions(n, sigma, filt.right_rows_permutations):
-                sol = FiniteSolution(sigma, tau)
-                if _passes(sol, filt):
-                    yield sol
+    heads = row_opts if first_row is None else [first_row]
+    first = _FirstComponent(row_opts)
+    for sigma in first.left_tables(n, heads):
+        cells = first.cell_values(sigma)
+        if cells is None:
+            continue
+        for tau in _tau_completions(n, sigma, cells, filt.right_rows_permutations):
+            sol = FiniteSolution(sigma, tau)
+            if _passes(sol, filt):
+                yield sol
 
 
 def _worker(args):

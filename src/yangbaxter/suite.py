@@ -181,10 +181,8 @@ def _check_left_nd(sol, report, props):
     # colon relation respects the left action, the two relations are equal
     forward = retract_relation(sol, "forward")
     colon = retract_relation(sol, "colon")
-    if (
-        check_compatibility(sol, forward, SIGMA_INV) is None
-        and check_compatibility(sol, colon, SIGMA) is None
-    ):
+    forward_sigma_inv = check_compatibility(sol, forward, SIGMA_INV) is None
+    if forward_sigma_inv and check_compatibility(sol, colon, SIGMA) is None:
         report.record(
             "compatible_relations_are_equal",
             []
@@ -194,10 +192,7 @@ def _check_left_nd(sol, report, props):
     if props.bijective:
         # forward compatibility with the inverse left action and the right
         # action extends to the inverted-solution left rows
-        if (
-            check_compatibility(sol, forward, SIGMA_INV) is None
-            and check_compatibility(sol, forward, TAU) is None
-        ):
+        if forward_sigma_inv and check_compatibility(sol, forward, TAU) is None:
             w = check_compatibility(sol, forward, SIGMA_HAT_INV)
             report.record(
                 "forward_compatibility_extends_to_inverse_rows",

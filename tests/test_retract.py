@@ -1,15 +1,22 @@
+from itertools import product
+
 import pytest
 
 from yangbaxter import (
+    ALL_SYMBOLS,
     CompatibilityError,
+    EnumFilter,
     FiniteSolution,
     NotLeftNondegenerate,
     NotNondegenerate,
+    Partition,
     RetractResult,
+    SymbolUnavailable,
     check_compatibility,
     check_relation_coincidence,
     check_retract,
     check_retract_duality,
+    enumerate_solutions,
     is_irretractable,
     is_trivial,
     mpl,
@@ -25,6 +32,7 @@ from yangbaxter.fixtures import (
     singleton,
     z3group,
 )
+from yangbaxter.omega import action_table
 
 
 def test_forward_relation_blocks_left_only3():
@@ -63,6 +71,41 @@ def test_compatibility_witness_reproduces_split_blocks():
     assert sol.tau[x1][y1] == 1
     assert sol.tau[x2][y2] == 2
     assert not part.same_block(1, 2)
+
+
+def _compatibility_scan(table, partition):
+    """Reference: the first of all n^4 quadruples, in lexicographic order,
+    that breaks compatibility."""
+    same = partition.same_block
+    for x1, x2, y1, y2 in product(range(partition.n), repeat=4):
+        if same(x1, x2) and same(y1, y2) and not same(table[x1][y1], table[x2][y2]):
+            return (x1, x2, y1, y2)
+    return None
+
+
+def test_compatibility_witness_matches_full_scan():
+    # the suite populations up to n = 3, against every partition of the carrier
+    population = [
+        *enumerate_solutions(1),
+        *enumerate_solutions(2),
+        *enumerate_solutions(3, EnumFilter(require_left_nd=True)),
+    ]
+    partitions = {
+        n: {Partition.from_keys(keys) for keys in product(range(n), repeat=n)}
+        for n in (1, 2, 3)
+    }
+    witnesses = 0
+    for sol in population:
+        for op in ALL_SYMBOLS:
+            try:
+                table = action_table(sol, op)
+            except SymbolUnavailable:
+                continue
+            for part in partitions[sol.n]:
+                expected = _compatibility_scan(table, part)
+                assert check_compatibility(sol, part, op) == expected, (sol, op, part)
+                witnesses += expected is not None
+    assert witnesses > 0
 
 
 def test_retract_raises_on_incompatible_relation():

@@ -1,5 +1,7 @@
+import hashlib
 import multiprocessing
 import os
+from itertools import product
 
 import pytest
 
@@ -17,8 +19,37 @@ from yangbaxter import (
     properties,
     validate_braid,
 )
+from yangbaxter import search
 from yangbaxter.fixtures import left_only3
 from yangbaxter.search import FROZEN_CELLS
+
+# SHA-256 of the n = 4 non-degenerate stream, one line per solution (sigma
+# then tau, rows concatenated, one digit per entry, a space between the two
+# tables), the same lines in the same order as perfbench/data/nd-n4.txt
+ND4_STREAM_SHA256 = "d9c99a6a26689960dbd08c6af7dd6f270ea213edda0a40f9a61eee092ee35249"
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace multiprocessing.Pool by a recorder that maps in-process, so no
+    worker starts; returns the list of requested pool sizes."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    return sizes
 
 
 def test_single_element_population():
@@ -37,11 +68,57 @@ def test_pruned_equals_oracle_n2_filters():
         assert list(enumerate_solutions(2, filt)) == oracle_enumerate(2, filt)
 
 
-def test_pruned_equals_oracle_n3_left_nd():
-    filt = EnumFilter(require_left_nd=True)
-    pruned = list(enumerate_solutions(3, filt))
-    oracle = oracle_enumerate(3, filt)
-    assert pruned == oracle
+@pytest.mark.parametrize("sig", [sig for n, sig in FROZEN_CELLS if n == 3])
+def test_pruned_equals_oracle_n3(sig):
+    filt = EnumFilter.from_signature(sig)
+    assert list(enumerate_solutions(3, filt)) == oracle_enumerate(3, filt)
+
+
+def _component1_values(sigma, x, y):
+    """Values t for the cell tau[y][x] with sigma_x sigma_y = sigma_{sigma_x(y)} sigma_t,
+    by direct evaluation at every point."""
+    n = len(sigma)
+    return [
+        t
+        for t in range(n)
+        if all(sigma[x][sigma[y][z]] == sigma[sigma[x][y]][sigma[t][z]] for z in range(n))
+    ]
+
+
+def test_left_table_prune_is_exact_n3(monkeypatch):
+    # every one of the 27^3 left tables at n = 3, without a filter
+    rows = list(product(range(3), repeat=3))
+    admitted = {}
+    for sigma in product(rows, repeat=3):
+        cells = [_component1_values(sigma, x, y) for y, x in product(range(3), repeat=2)]
+        if all(cells):
+            admitted[sigma] = cells
+    assert 0 < len(admitted) < len(rows) ** 3
+
+    reached = []
+    tau_completions = search._tau_completions
+
+    def recording(n, sigma, cells, right_perms):
+        reached.append(sigma)
+        assert cells == admitted[sigma], sigma
+        return tau_completions(n, sigma, cells, right_perms)
+
+    monkeypatch.setattr(search, "_tau_completions", recording)
+    emitted = list(enumerate_solutions(3))
+    # each admitted left table reaches the right-table search, in
+    # lexicographic order, and no other does
+    assert reached == list(admitted)
+    assert {sol.sigma for sol in emitted} <= admitted.keys()
+    assert len(emitted) == 5707
+
+
+def test_nd4_stream_is_pinned():
+    lines = (
+        " ".join("".join(map(str, sum(table, ()))) for table in (sol.sigma, sol.tau))
+        for sol in enumerate_solutions(4, EnumFilter(require_nd=True))
+    )
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ND4_STREAM_SHA256
 
 
 def test_stream_is_lexicographic_and_valid():
@@ -113,28 +190,21 @@ def test_worker_count_does_not_change_stream():
     )
 
 
-def test_worker_pool_is_clamped(monkeypatch):
-    sizes = []
-
-    class RecordingPool:
-        # records the requested size and maps in-process: no worker starts
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return list(map(fn, tasks))
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+def test_worker_pool_is_clamped(pool_sizes):
     stream = list(enumerate_solutions(2, EnumFilter(), workers=10**6))
     # n = 2 without filters splits into one task per left row, 4 in all
-    assert sizes == [min(4, os.cpu_count() or 1)]
+    assert pool_sizes == [min(4, os.cpu_count() or 1)]
     assert stream == list(enumerate_solutions(2, EnumFilter()))
+
+
+@pytest.mark.parametrize("sig", ["none", "nd"])
+def test_worker_stream_single_element(pool_sizes, sig):
+    # at n = 1 the only left row is both the first and the last
+    filt = EnumFilter.from_signature(sig)
+    assert list(enumerate_solutions(1, filt, workers=2)) == list(
+        enumerate_solutions(1, filt, workers=1)
+    )
+    assert pool_sizes == [1]
 
 
 def test_census_deterministic_across_workers():
