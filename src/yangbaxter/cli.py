@@ -7,6 +7,7 @@ mathematical preconditions), 2 unreadable or malformed input.
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, is_dataclass
 
@@ -159,6 +160,11 @@ def cmd_analyze(args):
 
 def cmd_enumerate(args):
     filt = _filter_from_args(args)
+    if args.out is not None:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot use --out {args.out}: {exc}") from exc
     if args.census or args.check_frozen:
         result = census(args.n, filt, workers=args.workers)
         report = {
@@ -187,9 +193,6 @@ def cmd_enumerate(args):
     else:
         status = EXIT_OK
     if args.out is not None:
-        import os
-
-        os.makedirs(args.out, exist_ok=True)
         count = 0
         for i, sol in enumerate(enumerate_solutions(args.n, filt, workers=args.workers)):
             save_document(

@@ -12,14 +12,19 @@ Two independent routes produce the same populations:
   allows no value is skipped before any right-table search, and once all left
   rows but the last are placed, the last row is drawn only from the rows that
   the cells fixed by the placed rows still need.  The right-table search
-  walks each cell's allowed values and, after every assignment, checks each
-  instance of the second and third components whose lookups are all
-  determined, backtracking on the first violation.
+  walks each cell's allowed values in row-major order.  Each instance of the
+  second and third components sits on the watch list of a cell it reads and
+  is checked once, when the last cell it reads is placed; the search
+  backtracks on the first violation.
 
 * ``oracle_enumerate`` is the deliberately unpruned cross-check: a full scan
   of every candidate table pair, testing the braid relation by literal
   composition of the two triple maps (vectorized over the right-table batch,
   but never skipping a candidate).
+
+``census`` counts isomorphism classes by marking orbits: the first solution
+of a class in the stream marks every relabeling of itself, and later members
+are found marked.
 
 Census counts frozen into the shipped regression file were generated by the
 oracle once; the build refuses to trust a pruned count that diverges from a
@@ -36,6 +41,7 @@ import numpy as np
 
 from .core import (
     FiniteSolution,
+    _relabeled_tables,
     bijective_witness,
     canonical_form,
     involutive_witness,
@@ -214,52 +220,87 @@ class _FirstComponent:
         return cells
 
 
-def _rest_consistent(n, sigma, tau):
-    """Check every instance of braid components 2 and 3 whose lookups are
-    determined, skipping undetermined ones.  Pruning only ever happens on a
-    fully determined violation, so no completion is lost."""
-    for x, y in product(range(n), repeat=2):
-        v1 = tau[y][x]
-        if v1 is None:
-            continue
-        sxy = sigma[x][y]
-        srow_y = sigma[y]
-        for z in range(n):
-            v2 = tau[srow_y[z]][x]
-            v3 = tau[z][y]
-            lhs2 = tau[sigma[v1][z]][sxy]
-            if lhs2 is not None and v2 is not None and v3 is not None:
-                if lhs2 != sigma[v2][v3]:
-                    return False
-            if v2 is None or v3 is None:
-                continue
-            lhs3 = tau[v3][v2]
-            rhs3 = tau[z][v1]
-            if lhs3 is not None and rhs3 is not None and lhs3 != rhs3:
-                return False
-    return True
-
-
 def _tau_completions(n, sigma, cells, right_perms):
     """Depth-first stream of complete right tables consistent with sigma, in
-    lexicographic order; cells lists the values component 1 allows per cell."""
-    tau = [[None] * n for _ in range(n)]
+    lexicographic order; cells lists the values component 1 allows per cell.
+
+    Cells are placed in row-major order into the flat table tau (cell
+    (row, col) at index row * n + col), so of any set of cells the one with
+    the largest index is placed last.  An instance (x, y, z) of the second
+    and third braid components,
+
+        tau_{sigma_{v1}(z)}(sigma_x(y)) = sigma_{v2}(v3)   and
+        tau_{v3}(v2) = tau_z(v1),
+
+    with v1 = tau_y(x), v2 = tau_x(sigma_y(z)) and v3 = tau_y(z), waits on
+    the last of its three fixed cells.  Once that is placed, the second
+    component asks one known cell to hold sigma_{v2}(v3) and the third asks
+    two known cells to agree.  Each is checked at once if its cells are all
+    placed; otherwise it joins the watch list of its last cell until that is
+    placed, and leaves it again on backtrack.  So every instance is checked
+    exactly once on a path, at the first node where it is fully determined.
+    """
+    size = n * n
+    tau = [None] * size
     used = [set() for _ in range(n)]
+    ready = [[] for _ in range(size)]  # instances by the last of their fixed cells
+    for x, y, z in product(range(n), repeat=3):
+        a, b, c = y * n + x, sigma[y][z] * n + x, z * n + y
+        ready[max(a, b, c)].append((a, b, c, z, sigma[x][y]))
+    wanted = [[] for _ in range(size)]  # values a cell must hold (component 2)
+    equal = [[] for _ in range(size)]  # earlier cells a cell must equal (component 3)
+
+    def assign(idx, t):
+        """Check and register the instances that cell idx, now holding t,
+        completes; the watch lists that grew, or None on a violation."""
+        for k in wanted[idx]:
+            if k != t:
+                return None
+        for other in equal[idx]:
+            if tau[other] != t:
+                return None
+        grown = []
+        for a, b, c, z, sxy in ready[idx]:
+            v1, v2, v3 = tau[a], tau[b], tau[c]
+            d, k = sigma[v1][z] * n + sxy, sigma[v2][v3]
+            e, f = v3 * n + v2, z * n + v1
+            if e > f:
+                e, f = f, e
+            if d > idx:
+                wanted[d].append(k)
+                grown.append(wanted[d])
+            elif tau[d] != k:
+                break
+            if f > idx:
+                equal[f].append(e)
+                grown.append(equal[f])
+            elif tau[e] != tau[f]:
+                break
+        else:
+            return grown
+        unwatch(grown)
+        return None
+
+    def unwatch(grown):
+        for watch in reversed(grown):
+            watch.pop()
 
     def place(idx):
-        if idx == n * n:
-            yield tuple(tuple(r) for r in tau)
+        if idx == size:
+            yield tuple(tuple(tau[r * n:(r + 1) * n]) for r in range(n))
             return
-        row, col = divmod(idx, n)
+        row = idx // n
         for t in cells[idx]:
             if right_perms and t in used[row]:
                 continue
-            tau[row][col] = t
+            tau[idx] = t
             used[row].add(t)
-            if _rest_consistent(n, sigma, tau):
+            grown = assign(idx, t)
+            if grown is not None:
                 yield from place(idx + 1)
+                unwatch(grown)
             used[row].discard(t)
-        tau[row][col] = None
+        tau[idx] = None
 
     yield from place(0)
 
@@ -306,15 +347,29 @@ def enumerate_solutions(n, filt=EnumFilter(), workers=1):
     yield from sorted(classes, key=lambda s: (s.sigma, s.tau))
 
 
+def _flat_key(tables):
+    """The entries of a (sigma, tau) pair as one bytes object."""
+    return bytes(v for table in tables for row in table for v in row)
+
+
 def census(n, filt=EnumFilter(), workers=1):
-    """Raw and up-to-isomorphism counts for one (n, filter) cell."""
+    """Raw and up-to-isomorphism counts for one (n, filter) cell.
+
+    Classes are counted by marking orbits: a solution not yet marked opens a
+    class and marks all of its relabelings, so the iso count is the number of
+    isomorphism classes that meet the stream, the number of distinct
+    canonical forms in it."""
     base = EnumFilter(**{f: getattr(filt, f) for f in _FLAG_ORDER})
-    raw = 0
-    classes = set()
+    raw = iso = 0
+    marked = set()
+    relabelings = list(permutations(range(n)))
     for sol in enumerate_solutions(n, base, workers=workers):
         raw += 1
-        classes.add(canonical_form(sol))
-    return CensusResult(raw=raw, iso=len(classes))
+        if _flat_key((sol.sigma, sol.tau)) in marked:
+            continue
+        iso += 1
+        marked.update(_flat_key(_relabeled_tables(sol, pi)) for pi in relabelings)
+    return CensusResult(raw=raw, iso=iso)
 
 
 # ---------------------------------------------------------------------------

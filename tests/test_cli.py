@@ -44,6 +44,13 @@ def test_validate_parse_error_exits_2(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
 
 
+def test_validate_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert main(["validate", str(path)]) == 2
+    assert "ParseError" in capsys.readouterr().err
+
+
 def test_validate_qcycle_document(capsys):
     assert main(["validate", str(fixture_path("qcycle_constant.json"))]) == 0
     assert "regular: False" in capsys.readouterr().out
@@ -104,6 +111,14 @@ def test_enumerate_writes_documents(tmp_path, capsys):
     files = sorted(out.iterdir())
     assert [f.name for f in files] == ["sol_000000.json"]
     assert "wrote 1 documents" in capsys.readouterr().out
+
+
+def test_enumerate_out_is_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["enumerate", "1", "--out", str(out)]) == 2
+    assert "InputError" in capsys.readouterr().err
+    assert out.read_text() == ""
 
 
 def test_enumerate_census_check_frozen(capsys):

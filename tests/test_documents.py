@@ -84,6 +84,9 @@ def test_unreadable_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ParseError):
         load_document(bad)
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(ParseError):
+        load_document(bad)
 
 
 def test_shipped_fixture_documents_match_builders():

@@ -112,6 +112,72 @@ def test_left_table_prune_is_exact_n3(monkeypatch):
     assert len(emitted) == 5707
 
 
+def _reference_rest_consistent(n, sigma, tau):
+    """Every instance of braid components 2 and 3 whose lookups are all
+    determined holds; undetermined instances are skipped."""
+    for x, y in product(range(n), repeat=2):
+        v1 = tau[y][x]
+        if v1 is None:
+            continue
+        sxy = sigma[x][y]
+        srow_y = sigma[y]
+        for z in range(n):
+            v2 = tau[srow_y[z]][x]
+            v3 = tau[z][y]
+            lhs2 = tau[sigma[v1][z]][sxy]
+            if lhs2 is not None and v2 is not None and v3 is not None:
+                if lhs2 != sigma[v2][v3]:
+                    return False
+            if v2 is None or v3 is None:
+                continue
+            lhs3 = tau[v3][v2]
+            rhs3 = tau[z][v1]
+            if lhs3 is not None and rhs3 is not None and lhs3 != rhs3:
+                return False
+    return True
+
+
+def _reference_tau_completions(n, sigma, cells, right_perms):
+    """The right-table search with a full rescan of components 2 and 3 after
+    every placement."""
+    tau = [[None] * n for _ in range(n)]
+    used = [set() for _ in range(n)]
+
+    def place(idx):
+        if idx == n * n:
+            yield tuple(tuple(r) for r in tau)
+            return
+        row, col = divmod(idx, n)
+        for t in cells[idx]:
+            if right_perms and t in used[row]:
+                continue
+            tau[row][col] = t
+            used[row].add(t)
+            if _reference_rest_consistent(n, sigma, tau):
+                yield from place(idx + 1)
+            used[row].discard(t)
+        tau[row][col] = None
+
+    yield from place(0)
+
+
+@pytest.mark.parametrize("right_perms", [False, True], ids=["none", "right_nd"])
+def test_watch_lists_match_full_rescan_n3(right_perms):
+    # every n = 3 left table that component 1 admits
+    rows = list(product(range(3), repeat=3))
+    first = search._FirstComponent(rows)
+    admitted = completions = 0
+    for sigma in product(rows, repeat=3):
+        cells = first.cell_values(sigma)
+        if cells is None:
+            continue
+        admitted += 1
+        expected = list(_reference_tau_completions(3, sigma, cells, right_perms))
+        assert list(search._tau_completions(3, sigma, cells, right_perms)) == expected, sigma
+        completions += len(expected)
+    assert admitted > 0 and completions > 0
+
+
 def test_nd4_stream_is_pinned():
     lines = (
         " ".join("".join(map(str, sum(table, ()))) for table in (sol.sigma, sol.tau))
@@ -177,6 +243,13 @@ def test_all_frozen_cells_reproduce():
         filt = EnumFilter.from_signature(sig)
         result = census(n, filt)
         assert check_frozen_census(n, filt, result) is None, (n, sig, result)
+
+
+@pytest.mark.parametrize("n, sig", list(FROZEN_CELLS) + [(4, "nd")])
+def test_census_iso_counts_canonical_forms(n, sig):
+    filt = EnumFilter.from_signature(sig)
+    forms = {canonical_form(sol) for sol in enumerate_solutions(n, filt)}
+    assert census(n, filt).iso == len(forms)
 
 
 def test_worker_count_does_not_change_stream():
