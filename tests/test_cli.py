@@ -1,11 +1,38 @@
+import hashlib
 import json
+import re
 
 import pytest
 
 from yangbaxter import search
 from yangbaxter.cli import main
 from yangbaxter.documents import save_document, solution_to_document
-from yangbaxter.fixtures import fixture_path, left_only3
+from yangbaxter.fixtures import FIXTURE_FILES, fixture_path, left_only3
+from yangbaxter.search import EnumFilter, enumerate_solutions
+
+ANALYZE_FLAGS = [
+    "--diag", "--retract", "--mpl", "--mpl-prime", "--kperm", "--kred", "--star",
+    "--qcycle", "--orbits", "--invert", "--json", "--max-k", "2",
+]
+# Exit codes and SHA-256 of the concatenated stdout of each group of runs in
+# test_stdout_bytes_and_exit_codes_are_pinned.  Any change to the report
+# shapes, key order, indentation or exit codes shows here.
+GATE = {
+    "analyze nd n=3": (
+        (0,) * 66, "bd166648214be91b2ed4365fc9e01d58ff0478601bdcf05717c52037f1789b19"),
+    "analyze fixtures": (
+        (0, 0, 1, 0, 0, 1, 1), "f970ae1d17b3daf01fb814fdac394a83bf88eeeefc366a01ebdcee364693257b"),
+    "analyze max-k 11": (
+        (0,), "6625b23956e8b04e3ede7c40491c9e6e70097a29479ccad27cb4c88cc376375d"),
+    "non-braid": (
+        (1, 0, 1), "f5fb124ad7173b62ed3003bfc6ab51b5254dab83fd63c1b244680426e7472bd4"),
+    "validate fixtures": (
+        (0,) * 7, "f11296846d1ad80bb1b5bee4e07135fb7ee7dba77f1ac804d44f10ae8ba01e72"),
+    "suite n-max 2": (
+        (0,), "be398041949d2bf9a16ba662e1e9b9d0f4dc49fd302acca0ae55f84333c31556"),
+    "enumerate 3 left-nd": (
+        (0,), "b63d62d7f2de3c8333b4f9f4e53d5da8642051714d7f83cc676066f3a1c06142"),
+}
 
 
 @pytest.fixture
@@ -175,3 +202,50 @@ def test_analyze_negative_max_k_exits_2(left_only3_path, capsys):
     assert main(["analyze", left_only3_path, "--kperm", "--max-k", "-1"]) == 2
     captured = capsys.readouterr()
     assert "--max-k" in captured.err and captured.out == ""
+
+
+def test_stdout_bytes_and_exit_codes_are_pinned(tmp_path, capsys):
+    fixtures = [str(fixture_path(name)) for name in FIXTURE_FILES]
+    nd3 = []
+    for i, sol in enumerate(enumerate_solutions(3, EnumFilter(require_nd=True))):
+        nd3.append(str(tmp_path / f"nd3_{i:02d}.json"))
+        save_document(nd3[-1], solution_to_document(sol))
+    non_braid = str(tmp_path / "non_braid.json")
+    save_document(non_braid, {
+        "format_version": 1, "kind": "solution", "n": 2,
+        "sigma": [[0, 1], [1, 0]], "tau": [[0, 1], [0, 1]],
+    })
+    no_qcycle = [f for f in ANALYZE_FLAGS if f != "--qcycle"]
+    groups = {
+        "analyze nd n=3": [["analyze", p, *ANALYZE_FLAGS] for p in nd3],
+        "analyze fixtures": [
+            ["analyze", p, *ANALYZE_FLAGS, "--omega-identities"] for p in fixtures
+        ],
+        "analyze max-k 11": [
+            ["analyze", str(fixture_path("lyubashenko3.json")), "--kperm", "--kred",
+             "--max-k", "11", "--json"],
+        ],
+        "non-braid": [
+            ["validate", non_braid, "--json"],
+            ["analyze", non_braid, *no_qcycle, "--omega-identities"],
+            ["analyze", non_braid, *ANALYZE_FLAGS],
+        ],
+        "validate fixtures": [["validate", p, "--json"] for p in fixtures],
+        "suite n-max 2": [["suite", "--n-max", "2", "--json"]],
+        "enumerate 3 left-nd": [["enumerate", "3", "--left-nd"]],
+    }
+    observed = {}
+    for name, runs in groups.items():
+        codes, digest = [], hashlib.sha256()
+        for argv in runs:
+            codes.append(main(argv))
+            out = capsys.readouterr().out
+            if argv[0] == "suite":
+                out = re.sub(r'^ "elapsed_seconds": .*\n', "", out, count=1, flags=re.M)
+            if "11" in argv:
+                # levels are keyed by strings, so 10 and 11 sort before 2
+                assert out.index('"10"') < out.index('"2"')
+            digest.update(out.encode())
+            digest.update(b"\0")
+        observed[name] = (tuple(codes), digest.hexdigest())
+    assert observed == GATE
