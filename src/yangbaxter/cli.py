@@ -6,10 +6,10 @@ mathematical preconditions), 2 unreadable or malformed input.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
-from dataclasses import asdict, is_dataclass
 
 from . import search
 from .core import FiniteSolution, invert, properties, validate_braid
@@ -29,14 +29,16 @@ EXIT_INPUT = 2
 
 
 def _jsonable(obj):
-    if isinstance(obj, FiniteSolution):
-        return {"sigma": _jsonable(obj.sigma), "tau": _jsonable(obj.tau)}
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
-    if isinstance(obj, dict):
+    """A report as plain JSON values, in one walk: tuples become lists, a
+    solution its two tables, and dict keys strings, so that ``sort_keys``
+    orders level 10 before level 2.  Anything else is returned as it is."""
+    kind = type(obj)
+    if kind is dict:
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set)):
+    if kind is list or kind is tuple:
         return [_jsonable(v) for v in obj]
+    if kind is FiniteSolution:
+        return {"sigma": [list(row) for row in obj.sigma], "tau": [list(row) for row in obj.tau]}
     return obj
 
 
@@ -159,6 +161,8 @@ def cmd_analyze(args):
 
 
 def cmd_enumerate(args):
+    if args.workers < 1:
+        raise InputError(f"--workers must be >= 1, got {args.workers}")
     filt = _filter_from_args(args)
     if args.out is not None:
         try:
@@ -203,13 +207,15 @@ def cmd_enumerate(args):
     elif not (args.census or args.check_frozen):
         count = 0
         for sol in enumerate_solutions(args.n, filt, workers=args.workers):
-            print(json.dumps(_jsonable(solution_to_document(sol))))
+            print(json.dumps(solution_to_document(sol)))
             count += 1
         print(f"# {count} solutions", file=sys.stderr)
     return status
 
 
 def cmd_suite(args):
+    if args.workers < 1:
+        raise InputError(f"--workers must be >= 1, got {args.workers}")
     report = theorem_suite(args.n_max, workers=args.workers)
     if args.json:
         payload = {
@@ -220,7 +226,7 @@ def cmd_suite(args):
             "elapsed_seconds": report.elapsed,
             "counterexamples": report.counterexamples(),
         }
-        print(json.dumps(_jsonable(payload), indent=1, sort_keys=True))
+        _emit(payload, True)
     else:
         for n, info in sorted(report.populations.items()):
             print(f"population n={n} filter={info['filter']}: {info['count']} solutions")
@@ -231,7 +237,10 @@ def cmd_suite(args):
     return EXIT_OK if report.ok() else EXIT_MATH
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every later
+    ``main`` call in the process; each parse starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="yangbaxter",
         description="validate, analyze and enumerate finite Yang-Baxter solutions",

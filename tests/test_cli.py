@@ -1,11 +1,13 @@
 import hashlib
 import json
 import re
+import subprocess
+import sys
 
 import pytest
 
-from yangbaxter import search
-from yangbaxter.cli import main
+from yangbaxter import cli, search
+from yangbaxter.cli import build_parser, main
 from yangbaxter.documents import save_document, solution_to_document
 from yangbaxter.fixtures import FIXTURE_FILES, fixture_path, left_only3
 from yangbaxter.search import EnumFilter, enumerate_solutions
@@ -177,6 +179,20 @@ def test_enumerate_nd_above_bound_exits_2(monkeypatch, capsys):
     assert "SizeTooLarge" in captured.err and "non-degenerate search at 4" in captured.err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("argv", [["enumerate", "2"], ["enumerate", "2", "--census"], ["suite"]])
+def test_workers_below_1_exits_2(argv, workers, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    monkeypatch.setattr(search, "_raw_stream", no_work)
+    monkeypatch.setattr(cli, "census", no_work)
+    monkeypatch.setattr(cli, "theorem_suite", no_work)
+    assert main([*argv, "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert f"--workers must be >= 1, got {workers}" in captured.err and captured.out == ""
+
+
 def test_suite_n1_and_n2(capsys):
     assert main(["suite", "--n-max", "1"]) == 0
     out = capsys.readouterr().out
@@ -202,6 +218,41 @@ def test_analyze_negative_max_k_exits_2(left_only3_path, capsys):
     assert main(["analyze", left_only3_path, "--kperm", "--max-k", "-1"]) == 2
     captured = capsys.readouterr()
     assert "--max-k" in captured.err and captured.out == ""
+
+
+def test_parser_is_built_on_first_use_not_at_import():
+    code = "import yangbaxter.cli as c; print(c.build_parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "0"
+
+
+def test_calls_are_independent_under_the_shared_parser(capsys):
+    path = str(fixture_path("lyubashenko3.json"))
+    assert main(["analyze", path, "--mpl", "--json"]) == 0
+    assert "mpl" in json.loads(capsys.readouterr().out)
+    assert main(["analyze", path, "--json"]) == 0
+    plain = capsys.readouterr().out
+    assert "mpl" not in json.loads(plain)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", path, "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(["analyze", path, "--json"]) == 0
+    assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("command", [[], ["validate"], ["analyze"], ["enumerate"], ["suite"]])
+def test_help_matches_a_freshly_built_parser(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser.__wrapped__().parse_args([*command, "--help"])
+    assert exc.value.code == 0
+    fresh = capsys.readouterr().out
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == fresh
 
 
 def test_stdout_bytes_and_exit_codes_are_pinned(tmp_path, capsys):
