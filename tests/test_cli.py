@@ -1,8 +1,10 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,8 +224,9 @@ def test_analyze_negative_max_k_exits_2(left_only3_path, capsys):
 
 def test_parser_is_built_on_first_use_not_at_import():
     code = "import yangbaxter.cli as c; print(c.build_parser.cache_info().currsize)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, timeout=60).stdout
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
     assert out.strip() == "0"
 
 
