@@ -258,10 +258,9 @@ def test_criterion_09_omega_identity_suite(populations):
     _passed(9, f"tower rewriting identities exhaustively verified on {checked} solutions")
 
 
-def test_criterion_10_enumeration_integrity(populations):
+def test_criterion_10_enumeration_integrity(populations, oracle_population):
     assert populations[2] == oracle_enumerate(2)
-    f3 = EnumFilter(require_left_nd=True)
-    assert populations[3] == oracle_enumerate(3, f3)
+    assert populations[3] == oracle_population(3, "left_nd")
     frozen = load_frozen_census()
     assert set(frozen) == set(FROZEN_CELLS)
     for workers in (1, 2):

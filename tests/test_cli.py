@@ -181,6 +181,21 @@ def test_enumerate_nd_above_bound_exits_2(monkeypatch, capsys):
     assert "SizeTooLarge" in captured.err and "non-degenerate search at 4" in captured.err
 
 
+@pytest.mark.parametrize("census_flag", [[], ["--census"]], ids=["stream", "census"])
+@pytest.mark.parametrize(
+    "flags", [[], ["--right-nd"], ["--bijective"], ["--involutive"], ["--square-free"]]
+)
+def test_enumerate_n4_without_left_permutation_rows_exits_2(flags, census_flag, monkeypatch, capsys):
+    def no_search(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(search, "_raw_stream", no_search)
+    assert main(["enumerate", "4", *flags, *census_flag]) == 2
+    captured = capsys.readouterr()
+    assert "SizeTooLarge" in captured.err and "without left permutation rows stops at 3" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 @pytest.mark.parametrize("argv", [["enumerate", "2"], ["enumerate", "2", "--census"], ["suite"]])
 def test_workers_below_1_exits_2(argv, workers, monkeypatch, capsys):

@@ -1,7 +1,8 @@
 import hashlib
 import multiprocessing
 import os
-from itertools import product
+from dataclasses import replace
+from itertools import permutations, product
 
 import pytest
 
@@ -17,11 +18,13 @@ from yangbaxter import (
     oracle_census,
     oracle_enumerate,
     properties,
+    relabel,
     validate_braid,
 )
+from yangbaxter.core import FiniteSolution
 from yangbaxter import search
 from yangbaxter.fixtures import left_only3
-from yangbaxter.search import FROZEN_CELLS
+from yangbaxter.search import FROZEN_CELLS, CensusResult
 
 # SHA-256 of the n = 4 non-degenerate stream, one line per solution (sigma
 # then tau, rows concatenated, one digit per entry, a space between the two
@@ -69,9 +72,9 @@ def test_pruned_equals_oracle_n2_filters():
 
 
 @pytest.mark.parametrize("sig", [sig for n, sig in FROZEN_CELLS if n == 3])
-def test_pruned_equals_oracle_n3(sig):
+def test_pruned_equals_oracle_n3(sig, oracle_population):
     filt = EnumFilter.from_signature(sig)
-    assert list(enumerate_solutions(3, filt)) == oracle_enumerate(3, filt)
+    assert list(enumerate_solutions(3, filt)) == oracle_population(3, sig)
 
 
 def _component1_values(sigma, x, y):
@@ -248,8 +251,66 @@ def test_all_frozen_cells_reproduce():
 @pytest.mark.parametrize("n, sig", list(FROZEN_CELLS) + [(4, "nd")])
 def test_census_iso_counts_canonical_forms(n, sig):
     filt = EnumFilter.from_signature(sig)
-    forms = {canonical_form(sol) for sol in enumerate_solutions(n, filt)}
-    assert census(n, filt).iso == len(forms)
+    stream = list(enumerate_solutions(n, filt))
+    forms = sorted({canonical_form(sol) for sol in stream}, key=lambda s: (s.sigma, s.tau))
+    result = census(n, filt)
+    assert result.raw == len(stream)
+    assert result.iso == len(forms)
+    assert list(enumerate_solutions(n, replace(filt, up_to_iso=True))) == forms
+
+
+def _conjugate_head(head, pi):
+    """The head row of a solution with head row head after relabeling by pi,
+    read off core.relabel (pi fixes 0)."""
+    n = len(head)
+    return relabel(FiniteSolution((head,) * n, (head,) * n), pi).sigma[0]
+
+
+@pytest.mark.parametrize("perms_only", [True, False], ids=["perms", "rows"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_head_orbits_partition_the_rows(n, perms_only):
+    fixing = [pi for pi in permutations(range(n)) if pi[0] == 0]
+    orbits = search._head_orbits(n, perms_only)
+    rows = search._row_options(n, perms_only)
+    covered = []
+    for rep, size in orbits:
+        orbit = {_conjugate_head(rep, pi) for pi in fixing}
+        assert rep == min(orbit) and size == len(orbit), rep
+        covered.extend(orbit)
+    assert sorted(covered) == rows
+    assert [rep for rep, _ in orbits] == sorted(rep for rep, _ in orbits)
+    if n == 4 and perms_only:
+        assert [size for _, size in orbits] == [1, 3, 2, 3, 3, 6, 6]
+
+
+@pytest.mark.parametrize("sig", ["none"] + [sig for n, sig in FROZEN_CELLS if n == 3])
+def test_head_counts_are_constant_on_orbits_n3(sig):
+    filt = EnumFilter.from_signature(sig)
+    fixing = [pi for pi in permutations(range(3)) if pi[0] == 0]
+    counts = {
+        head: sum(1 for _ in search._raw_stream(3, filt, [head]))
+        for head in search._row_options(3, filt.left_rows_permutations)
+    }
+    assert sum(counts.values()) == len(list(enumerate_solutions(3, filt)))
+    for head, count in counts.items():
+        assert {counts[_conjugate_head(head, pi)] for pi in fixing} == {count}, head
+
+
+def test_census_marks_only_relabelings_onto_representative_heads(monkeypatch):
+    # no solution with another head row comes up in the searched stream
+    filt = EnumFilter(require_nd=True)
+    reps = {rep for rep, _ in search._head_orbits(3, True)}
+    heads = []
+    relabeled_tables = search._relabeled_tables
+
+    def recording(sol, pi):
+        tables = relabeled_tables(sol, pi)
+        heads.append(tables[0][0])
+        return tables
+
+    monkeypatch.setattr(search, "_relabeled_tables", recording)
+    assert census(3, filt) == CensusResult(raw=66, iso=26)
+    assert heads and set(heads) <= reps < set(search._row_options(3, True))
 
 
 def test_worker_count_does_not_change_stream():
@@ -285,9 +346,50 @@ def test_census_deterministic_across_workers():
     assert census(3, filt, workers=1) == census(3, filt, workers=2)
 
 
-def test_size_limits():
+def test_up_to_iso_stream_deterministic_across_workers():
+    filt = EnumFilter(require_left_nd=True, up_to_iso=True)
+    assert list(enumerate_solutions(3, filt, workers=2)) == list(
+        enumerate_solutions(3, filt, workers=1)
+    )
+
+
+def test_census_pool_is_sized_by_representative_heads(pool_sizes, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    heads = []
+    worker = search._worker
+
+    def recording(task):
+        heads.append(task[2])
+        return worker(task)
+
+    monkeypatch.setattr(search, "_worker", recording)
+    filt = EnumFilter(require_nd=True)
+    # the 24 head rows at n = 4 fall into 7 orbits, one task per orbit
+    assert census(4, filt, workers=2) == CensusResult(raw=1800, iso=253)
+    assert heads == [rep for rep, _ in search._head_orbits(4, True)] and len(heads) == 7
+    # the 6 at n = 3 fall into 4, and the pool is clamped to the tasks
+    assert census(3, filt, workers=10**6) == CensusResult(raw=66, iso=26)
+    assert pool_sizes == [2, 4]
+
+
+def test_size_limits(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(search, "_raw_stream", no_search)
     with pytest.raises(SizeTooLarge):
         list(enumerate_solutions(5, EnumFilter()))
+    # n = 4 finishes only with left permutation rows
+    for sig in ("none", "right_nd", "bijective", "involutive", "square_free"):
+        filt = EnumFilter.from_signature(sig)
+        with pytest.raises(SizeTooLarge):
+            list(enumerate_solutions(4, filt))
+        with pytest.raises(SizeTooLarge):
+            census(4, filt)
+    for sig in ("left_nd", "nd", "left_nd+bijective", "nd+involutive"):
+        assert search._check_bounds(4, EnumFilter.from_signature(sig)) is None
+    with pytest.raises(SizeTooLarge):
+        census(5, EnumFilter(require_nd=True))
     with pytest.raises(SizeTooLarge):
         list(enumerate_solutions(6, EnumFilter(require_nd=True)))
     with pytest.raises(SizeTooLarge):
