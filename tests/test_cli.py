@@ -34,6 +34,8 @@ GATE = {
         (0,) * 7, "f11296846d1ad80bb1b5bee4e07135fb7ee7dba77f1ac804d44f10ae8ba01e72"),
     "suite n-max 2": (
         (0,), "be398041949d2bf9a16ba662e1e9b9d0f4dc49fd302acca0ae55f84333c31556"),
+    "suite n-max 3": (
+        (0,), "5e5c238f7d8e12b9e822016701c467edb9032f0afdd40b2603267811a56188c5"),
     "enumerate 3 left-nd": (
         (0,), "b63d62d7f2de3c8333b4f9f4e53d5da8642051714d7f83cc676066f3a1c06142"),
 }
@@ -301,6 +303,7 @@ def test_stdout_bytes_and_exit_codes_are_pinned(tmp_path, capsys):
         ],
         "validate fixtures": [["validate", p, "--json"] for p in fixtures],
         "suite n-max 2": [["suite", "--n-max", "2", "--json"]],
+        "suite n-max 3": [["suite", "--n-max", "3", "--json"]],
         "enumerate 3 left-nd": [["enumerate", "3", "--left-nd"]],
     }
     observed = {}
