@@ -45,6 +45,8 @@ from .omega import (
     is_k_permutational,
     is_k_reductive,
     omega_eval,
+    permutational_levels,
+    reductive_levels,
 )
 from .orbits import OrbitDecomposition, check_orbit_theorem, is_decomposable, orbit_decomposition
 from .qcycle import (

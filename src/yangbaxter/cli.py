@@ -16,7 +16,12 @@ from .core import FiniteSolution, invert, properties, validate_braid
 from .diagonals import check_diagonal_identities, check_diagonal_theorems, diagonal_maps
 from .documents import load_document, save_document, solution_to_document
 from .errors import DomainError, InputError
-from .omega import check_omega_identities, check_star_conditions, is_k_permutational, is_k_reductive
+from .omega import (
+    check_omega_identities,
+    check_star_conditions,
+    permutational_levels,
+    reductive_levels,
+)
 from .orbits import is_decomposable, orbit_decomposition
 from .qcycle import from_solution, is_regular, qcycle_diagonals, to_solution, validate_qcycle
 from .retract import mpl, mpl_prime, retract, retract_relation
@@ -118,17 +123,15 @@ def cmd_analyze(args):
     if args.mpl_prime:
         report["mpl_prime"] = mpl_prime(sol)
     if args.kperm:
-        levels = {}
-        for k in range(0, args.max_k + 1):
-            ok, witness = is_k_permutational(sol, k)
-            levels[k] = {"holds": ok, "witness": witness}
-        report["k_permutational"] = levels
+        report["k_permutational"] = {
+            k: {"holds": ok, "witness": witness}
+            for k, (ok, witness) in permutational_levels(sol, args.max_k).items()
+        }
     if args.kred:
-        levels = {}
-        for k in range(1, args.max_k + 1):
-            ok, witness = is_k_reductive(sol, k)
-            levels[k] = {"holds": ok, "witness": witness}
-        report["k_reductive"] = levels
+        report["k_reductive"] = {
+            k: {"holds": ok, "witness": witness}
+            for k, (ok, witness) in reductive_levels(sol, args.max_k).items()
+        }
     if args.star:
         ok, sigma_fixers, tau_fixers = check_star_conditions(sol)
         report["star_conditions"] = {
@@ -164,6 +167,8 @@ def cmd_enumerate(args):
     if args.workers < 1:
         raise InputError(f"--workers must be >= 1, got {args.workers}")
     filt = _filter_from_args(args)
+    # an out-of-reach size exits before --out leaves a directory behind
+    search._check_bounds(args.n, filt)
     if args.out is not None:
         try:
             os.makedirs(args.out, exist_ok=True)

@@ -115,20 +115,6 @@ def require_nondegenerate(sol, operation):
         raise NotNondegenerate(f"{operation} needs a non-degenerate solution")
 
 
-def _braid_sides(sol, x, y, z):
-    r = sol.r
-    # composition is right-to-left: the innermost map acts first
-    u, v = r(y, z)
-    p, q = r(x, u)
-    s, w = r(q, v)
-    lhs = (p, s, w)
-    a, b = r(x, y)
-    c, d = r(b, z)
-    e, f = r(a, c)
-    rhs = (e, f, d)
-    return lhs, rhs
-
-
 def _component_identities(sol, x, y, z):
     """The three per-triple identities that, together, restate the braid relation."""
     s, t = sol.sigma, sol.tau
@@ -140,12 +126,32 @@ def _component_identities(sol, x, y, z):
 
 def validate_braid(sol):
     """All triples (x, y, z) where the two sides of the braid relation differ,
-    by literal composition of the two triple maps."""
+    by literal composition of the two triple maps, in lexicographic order.
+
+    With composition right to left (the innermost map acts first) the two
+    sides are (id x r)(r x id)(id x r) and (r x id)(id x r)(r x id); each
+    application of r(a, b) = (sigma[a][b], tau[b][a]) is read off the tables.
+    """
+    n = sol.n
+    s, t = sol.sigma, sol.tau
     violations = []
-    for x, y, z in product(range(sol.n), repeat=3):
-        lhs, rhs = _braid_sides(sol, x, y, z)
-        if lhs != rhs:
-            violations.append((x, y, z))
+    for x in range(n):
+        sx = s[x]
+        for y in range(n):
+            sy = s[y]
+            # right side, first step: r(x, y) = (a, b)
+            a, b = sx[y], t[y][x]
+            sa, sb = s[a], s[b]
+            for z in range(n):
+                tz = t[z]
+                # left side: r(y, z) = (u, v), r(x, u) = (p, q), then r(q, v)
+                u, v = sy[z], tz[y]
+                p, q = sx[u], t[u][x]
+                # right side: r(b, z) = (c, d), then r(a, c)
+                c, d = sb[z], tz[b]
+                # (p, r(q, v)) against (r(a, c), d)
+                if p != sa[c] or s[q][v] != t[c][a] or t[v][q] != d:
+                    violations.append((x, y, z))
     return violations
 
 
@@ -153,12 +159,12 @@ def check_braid_routes(sol):
     """All triples where the literal composition and the component identities
     disagree on whether the braid relation holds (expected none), which guards
     each form against transcription errors in the other."""
-    disagreements = []
-    for x, y, z in product(range(sol.n), repeat=3):
-        lhs, rhs = _braid_sides(sol, x, y, z)
-        if (lhs == rhs) != _component_identities(sol, x, y, z):
-            disagreements.append((x, y, z))
-    return disagreements
+    violations = set(validate_braid(sol))
+    return [
+        (x, y, z)
+        for x, y, z in product(range(sol.n), repeat=3)
+        if ((x, y, z) not in violations) != _component_identities(sol, x, y, z)
+    ]
 
 
 def _row_collision(table):

@@ -13,7 +13,9 @@ Every tower is a composition of step maps X -> X, so the height-k towers
 form a set of at most n**n distinct maps, built level by level from the
 height-(k-1) maps.  Both properties are decided on these sets, which makes
 every verdict exact for any n and k; a failing map is traced back to one word
-and argument list that witness it.
+and argument list that witness it.  permutational_levels and
+reductive_levels read the verdicts of every height up to a bound from one
+build; is_k_permutational and is_k_reductive are their one-height views.
 """
 
 from itertools import product
@@ -150,6 +152,31 @@ def _tower_path(levels, h, f):
     return tuple(reversed(word)), tuple(reversed(zs))
 
 
+def _permutational_witness(levels, k):
+    """None when every height-k map is constant, else (word, 0, y, zs) for
+    the first map and base y that tell it apart from base 0."""
+    for f in levels[k]:
+        if f.count(f[0]) != len(f):
+            y = next(y for y in range(1, len(f)) if f[y] != f[0])
+            word, zs = _tower_path(levels, k, f)
+            return word, 0, y, zs
+    return None
+
+
+def permutational_levels(sol, k_max, alphabet=DEFAULT_ALPHABET):
+    """is_k_permutational for every k = 0..k_max, from one build of the
+    tower maps over the alphabet: {k: (holds, witness)}."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    tables = action_tables(sol, set(alphabet))
+    levels = _tower_levels(tables, alphabet, sol.n, k_max)
+    verdicts = {}
+    for k in range(k_max + 1):
+        witness = _permutational_witness(levels, k)
+        verdicts[k] = (witness is None, witness)
+    return verdicts
+
+
 def is_k_permutational(sol, k, alphabet=DEFAULT_ALPHABET):
     """Whether every height-k tower over the alphabet ignores its base element.
 
@@ -158,27 +185,41 @@ def is_k_permutational(sol, k, alphabet=DEFAULT_ALPHABET):
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    tables = action_tables(sol, set(alphabet))
-    levels = _tower_levels(tables, alphabet, sol.n, k)
-    for f in levels[k]:
-        for y in range(1, sol.n):
-            if f[y] != f[0]:
-                word, zs = _tower_path(levels, k, f)
-                return False, (word, 0, y, zs)
-    return True, None
+    return permutational_levels(sol, k, alphabet)[k]
 
 
-def _first_step_failures(sol, k, first_symbols):
-    """Height-k towers over {sigma, tau} whose first step, read through
-    first_symbols[word[0]], changes their value from that of the height-(k-1)
-    tower started at the first argument.  Yields (word, x, zs)."""
-    tables = action_tables(sol, set(DEFAULT_ALPHABET) | set(first_symbols.values()))
-    levels = _tower_levels(tables, DEFAULT_ALPHABET, sol.n, k - 1)
-    for g in levels[k - 1]:
-        for s, x, z in product(DEFAULT_ALPHABET, range(sol.n), range(sol.n)):
-            if g[tables[first_symbols[s]][x][z]] != g[z]:
-                word, zs = _tower_path(levels, k - 1, g)
-                yield (s,) + word, x, (z,) + zs
+def _first_step_failures(tables, levels, h, first_symbols):
+    """Height-(h+1) towers over {sigma, tau} whose first step, read through
+    first_symbols[word[0]], changes their value from that of the height-h
+    tower started at the first argument.  levels holds the {sigma, tau}
+    tower maps up to height h at least.  Yields (word, x, zs)."""
+    n = len(tables[SIGMA])
+    rows = [(s, x, tables[first_symbols[s]][x]) for s in DEFAULT_ALPHABET for x in range(n)]
+    for g in levels[h]:
+        path = None
+        for s, x, row in rows:
+            # g after the first step's row equals g unless some z fails
+            if tuple(map(g.__getitem__, row)) == g:
+                continue
+            if path is None:
+                path = _tower_path(levels, h, g)
+            word, zs = path
+            for z in range(n):
+                if g[row[z]] != g[z]:
+                    yield (s,) + word, x, (z,) + zs
+
+
+def reductive_levels(sol, k_max):
+    """is_k_reductive for every k = 1..k_max, from one build of the
+    {sigma, tau} tower maps up to height k_max - 1: {k: (holds, witness)},
+    empty when k_max < 1."""
+    tables = action_tables(sol, set(DEFAULT_ALPHABET))
+    levels = _tower_levels(tables, DEFAULT_ALPHABET, sol.n, k_max - 1)
+    verdicts = {}
+    for k in range(1, k_max + 1):
+        witness = next(_first_step_failures(tables, levels, k - 1, {SIGMA: SIGMA, TAU: TAU}), None)
+        verdicts[k] = (witness is None, witness)
+    return verdicts
 
 
 def is_k_reductive(sol, k):
@@ -189,8 +230,7 @@ def is_k_reductive(sol, k):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    witness = next(_first_step_failures(sol, k, {SIGMA: SIGMA, TAU: TAU}), None)
-    return witness is None, witness
+    return reductive_levels(sol, k)[k]
 
 
 def check_star_conditions(sol):
@@ -341,25 +381,30 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
         failures = []
         for f in shorter:
             rest, zs = _tower_path(levels, m - 1, f)
+            # the right side does not depend on the step g or on x
+            rhs = [_eval(tables, rest, z1, zs) for z1 in carrier]
             for g, x, z1 in product(invertible, carrier, carrier):
                 lhs = _eval(tables, (g,) + rest, x, (tables[INVERSE_OF[g]][x][z1],) + zs)
-                if lhs != _eval(tables, rest, z1, zs):
+                if lhs != rhs[z1]:
                     failures.append((g, rest, x, z1, zs))
         record(f"inverse_shift_m{m}", len(invertible) * len(shorter) * n * n, failures)
 
-    perm_level = next((k for k in range(max_m) if is_k_permutational(sol, k)[0]), None)
+    # one build of the {sigma, tau} maps decides the level and feeds drop_base
+    tables = action_tables(sol, DEFAULT_ALPHABET)
+    levels = _tower_levels(tables, DEFAULT_ALPHABET, n, max_m - 1)
+    perm_level = next((k for k in range(max_m) if _permutational_witness(levels, k) is None), None)
     report["permutational_level_bound"] = perm_level
     if perm_level is not None:
-        tables = action_tables(sol, DEFAULT_ALPHABET)
-        levels = _tower_levels(tables, DEFAULT_ALPHABET, n, max_m - 1)
         for k in range(perm_level, max_m):
             failures = []
             for f in levels[k]:
                 rest, zs = _tower_path(levels, k, f)
-                for s, x, z1, y in product(DEFAULT_ALPHABET, carrier, carrier, carrier):
+                # the right side does not depend on (s, x, z1), the left side not on y
+                rhs = [_eval(tables, rest, y, zs) for y in carrier]
+                for s, x, z1 in product(DEFAULT_ALPHABET, carrier, carrier):
                     word = (s,) + rest
-                    if _eval(tables, word, x, (z1,) + zs) != _eval(tables, rest, y, zs):
-                        failures.append((word, x, y, (z1,) + zs))
+                    lhs = _eval(tables, word, x, (z1,) + zs)
+                    failures.extend((word, x, y, (z1,) + zs) for y in carrier if lhs != rhs[y])
             record(f"drop_base_k{k}", len(levels[k]) * len(DEFAULT_ALPHABET) * n**3, failures)
     return report
 
@@ -368,5 +413,7 @@ def check_reductive_inverse_start(sol, k):
     """Derived identity of k-reductive solutions: replacing the first step by
     the inverse of any first family still collapses to the height-(k-1) tower.
     Needs non-degeneracy to evaluate the inverse families.  Returns the
-    failing (word, x, zs), one per distinct height-(k-1) tower map."""
-    return list(_first_step_failures(sol, k, {SIGMA: SIGMA_INV, TAU: TAU_INV}))
+    failing (word, x, zs) of every distinct height-(k-1) tower map."""
+    tables = action_tables(sol, set(DEFAULT_ALPHABET) | {SIGMA_INV, TAU_INV})
+    levels = _tower_levels(tables, DEFAULT_ALPHABET, sol.n, k - 1)
+    return list(_first_step_failures(tables, levels, k - 1, {SIGMA: SIGMA_INV, TAU: TAU_INV}))

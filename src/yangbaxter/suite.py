@@ -43,8 +43,8 @@ from .omega import (
     check_star_conditions,
     closed_form_T_inverse,
     closed_form_U_inverse,
-    is_k_permutational,
-    is_k_reductive,
+    permutational_levels,
+    reductive_levels,
 )
 from .orbits import check_orbit_theorem, is_decomposable
 from .qcycle import (
@@ -123,8 +123,8 @@ def _check_universal(sol, report, props):
     bad.extend(_payload(sol, ("routes disagree", v)) for v in check_braid_routes(sol))
     report.record("braid_routes_agree", bad)
 
-    red = {k: is_k_reductive(sol, k)[0] for k in range(1, K_RED_MAX + 1)}
-    perm = {k: is_k_permutational(sol, k)[0] for k in range(0, K_PERM_MAX + 1)}
+    red = {k: holds for k, (holds, _) in reductive_levels(sol, K_RED_MAX).items()}
+    perm = {k: holds for k, (holds, _) in permutational_levels(sol, K_PERM_MAX).items()}
 
     bad = [k for k in range(1, K_PERM_MAX + 1) if red[k] and not perm[k]]
     report.record("reductive_implies_permutational", [_payload(sol, k) for k in bad])
@@ -201,9 +201,10 @@ def _check_left_nd(sol, report, props):
 
     q = from_solution(sol)
     bad = [_payload(sol, f) for f in check_qcycle_correspondence(sol, q)]
-    if to_solution(q) != sol:
+    back = to_solution(q)
+    if back != sol:
         bad.append(_payload(sol, "solution round trip broke"))
-    if from_solution(to_solution(q)) != q:
+    if from_solution(back) != q:
         bad.append(_payload(sol, "q-cycle round trip broke"))
     report.record("qcycle_round_trip", bad)
 
@@ -331,18 +332,21 @@ def _check_nondegenerate(sol, report, props, red, perm):
     )
 
     level = mpl(sol)
+    full = permutational_levels(sol, K_PERM_MAX, FULL_ALPHABET)
+    hat = permutational_levels(sol, K_PERM_MAX, (SIGMA_INV, SIGMA_HAT_INV))
     bad = []
     for k in range(0, K_PERM_MAX + 1):
         level_le_k = level is not None and level <= k
-        full_perm = is_k_permutational(sol, k, FULL_ALPHABET)[0]
-        hat_perm = is_k_permutational(sol, k, (SIGMA_INV, SIGMA_HAT_INV))[0]
+        full_perm = full[k][0]
+        hat_perm = hat[k][0]
         if not (level_le_k == perm[k] == full_perm == hat_perm):
             bad.append(_payload(sol, (k, level, perm[k], full_perm, hat_perm)))
     report.record("multipermutation_level_tower_equivalences", bad)
 
+    quotient_red = reductive_levels(ret.quotient, K_RED_MAX - 1)
     bad = []
     for k in range(2, K_RED_MAX + 1):
-        if red[k] != is_k_reductive(ret.quotient, k - 1)[0]:
+        if red[k] != quotient_red[k - 1][0]:
             bad.append(_payload(sol, k))
     report.record("reductivity_descends_to_retract", bad)
 

@@ -154,6 +154,17 @@ def test_enumerate_out_is_a_file_exits_2(tmp_path, capsys):
     assert out.read_text() == ""
 
 
+def test_enumerate_out_of_reach_leaves_no_out_directory(tmp_path, monkeypatch, capsys):
+    def no_search(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(search, "_raw_stream", no_search)
+    out = tmp_path / "d"
+    assert main(["enumerate", "4", "--right-nd", "--out", str(out)]) == 2
+    assert "SizeTooLarge" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_enumerate_census_check_frozen(capsys):
     assert main(["enumerate", "2", "--nd", "--census", "--check-frozen"]) == 0
     out = capsys.readouterr().out

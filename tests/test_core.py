@@ -1,3 +1,4 @@
+import random
 from itertools import permutations, product
 
 import pytest
@@ -45,6 +46,49 @@ def braid_violations_oracle(sol):
         if lhs != rhs:
             bad.append(t)
     return bad
+
+
+def braid_violations_by_r(sol):
+    """The r-composition the literal check used before it was inlined: both
+    sides of the braid relation through sol.r, triple by triple."""
+    r = sol.r
+    bad = []
+    for x, y, z in product(range(sol.n), repeat=3):
+        u, v = r(y, z)
+        p, q = r(x, u)
+        s, w = r(q, v)
+        a, b = r(x, y)
+        c, d = r(b, z)
+        e, f = r(a, c)
+        if (p, s, w) != (e, f, d):
+            bad.append((x, y, z))
+    return bad
+
+
+def _random_table(rng, n, permutation_rows):
+    if permutation_rows:
+        return tuple(tuple(rng.sample(range(n), n)) for _ in range(n))
+    return tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_inlined_braid_check_matches_r_composition(n):
+    rng = random.Random(20261018 + n)
+    pairs = [
+        FiniteSolution(_random_table(rng, n, left), _random_table(rng, n, right))
+        for left, right in product((False, True), repeat=2)
+        for _ in range(50)
+    ]
+    with_violations = 0
+    for sol in pairs:
+        violations = validate_braid(sol)
+        assert violations == braid_violations_by_r(sol), sol
+        assert violations == braid_violations_oracle(sol)
+        # the component identities restate the relation on any table pair
+        assert check_braid_routes(sol) == []
+        with_violations += bool(violations)
+    if n > 1:
+        assert with_violations > 0
 
 
 # every shipped instance really is a solution

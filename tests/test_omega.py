@@ -4,6 +4,7 @@ import pytest
 
 from yangbaxter import (
     EnumFilter,
+    FiniteSolution,
     NotKPermutational,
     NotLeftNondegenerate,
     SymbolUnavailable,
@@ -15,8 +16,17 @@ from yangbaxter import (
     is_k_permutational,
     is_k_reductive,
     omega_eval,
+    permutational_levels,
+    reductive_levels,
 )
-from yangbaxter.fixtures import left_only3, lyubashenko3, projection, singleton, z3group
+from yangbaxter.fixtures import (
+    derived2,
+    left_only3,
+    lyubashenko3,
+    projection,
+    singleton,
+    z3group,
+)
 from yangbaxter.omega import (
     DEFAULT_ALPHABET,
     FULL_ALPHABET,
@@ -234,3 +244,129 @@ def test_deciders_match_scan_on_nondegenerate_n4():
         _assert_matches_scan(sol, 2, 2, [DEFAULT_ALPHABET])
         count += 1
     assert count == 1800
+
+
+# Per-height reference deciders: a transcription of the deciders that built
+# the tower maps afresh for each height and read that height alone.  The
+# all-levels deciders must give the same verdict and the same witness for
+# every height, since the maps of each height, their order and their
+# back-pointers do not depend on how far the build goes.
+
+
+def _reference_levels(tables, alphabet, n, height):
+    steps = [(s, z, tuple(row[z] for row in tables[s])) for s in alphabet for z in range(n)]
+    levels = [{tuple(range(n)): None}]
+    for _ in range(height):
+        level = {}
+        for f in levels[-1]:
+            for s, z, g in steps:
+                level.setdefault(tuple(g[v] for v in f), (f, s, z))
+        levels.append(level)
+    return levels
+
+
+def _reference_path(levels, h, f):
+    word, zs = [], []
+    for level in reversed(levels[1 : h + 1]):
+        f, s, z = level[f]
+        word.append(s)
+        zs.append(z)
+    return tuple(reversed(word)), tuple(reversed(zs))
+
+
+def _reference_permutational(sol, k, alphabet):
+    tables = action_tables(sol, set(alphabet))
+    levels = _reference_levels(tables, alphabet, sol.n, k)
+    for f in levels[k]:
+        for y in range(1, sol.n):
+            if f[y] != f[0]:
+                word, zs = _reference_path(levels, k, f)
+                return False, (word, 0, y, zs)
+    return True, None
+
+
+def _reference_first_step_failures(sol, k, first_symbols):
+    tables = action_tables(sol, set(DEFAULT_ALPHABET) | set(first_symbols.values()))
+    levels = _reference_levels(tables, DEFAULT_ALPHABET, sol.n, k - 1)
+    failures = []
+    for g in levels[k - 1]:
+        for s, x, z in product(DEFAULT_ALPHABET, range(sol.n), range(sol.n)):
+            if g[tables[first_symbols[s]][x][z]] != g[z]:
+                word, zs = _reference_path(levels, k - 1, g)
+                failures.append(((s,) + word, x, (z,) + zs))
+    return failures
+
+
+def _reference_reductive(sol, k):
+    failures = _reference_first_step_failures(sol, k, {SIGMA: SIGMA, TAU: TAU})
+    return (False, failures[0]) if failures else (True, None)
+
+
+LEVEL_ALPHABETS = [DEFAULT_ALPHABET, FULL_ALPHABET, (SIGMA_INV, SIGMA_HAT_INV)]
+K_LEVELS = 4
+
+
+def _level_solutions():
+    sols = [
+        *enumerate_solutions(1),
+        *enumerate_solutions(2),
+        *enumerate_solutions(3, EnumFilter(require_left_nd=True)),
+    ]
+    sols += [singleton(), projection(2), projection(3), left_only3(), lyubashenko3(),
+             derived2(), z3group()]
+    # two table pairs that break the braid relation: the deciders read tables only
+    sols.append(FiniteSolution(((0, 1), (1, 0)), ((0, 1), (0, 1))))
+    sols.append(FiniteSolution(((1, 2, 0), (0, 2, 1), (2, 1, 0)), ((0, 2, 1), (1, 0, 2), (2, 0, 1))))
+    return sols
+
+
+def test_all_levels_deciders_match_per_height_reference():
+    sols = _level_solutions()
+    assert len(sols) == 1 + 43 + 354 + 7 + 2
+    covered = {alphabet: 0 for alphabet in LEVEL_ALPHABETS}
+    for sol in sols:
+        for alphabet in LEVEL_ALPHABETS:
+            try:
+                expected = {k: _reference_permutational(sol, k, alphabet) for k in range(K_LEVELS + 1)}
+            except SymbolUnavailable:
+                with pytest.raises(SymbolUnavailable):
+                    permutational_levels(sol, K_LEVELS, alphabet)
+                continue
+            covered[alphabet] += 1
+            assert permutational_levels(sol, K_LEVELS, alphabet) == expected, (sol, alphabet)
+            for k in range(K_LEVELS + 1):
+                assert is_k_permutational(sol, k, alphabet) == expected[k]
+        expected = {k: _reference_reductive(sol, k) for k in range(1, K_LEVELS + 1)}
+        assert reductive_levels(sol, K_LEVELS) == expected, sol
+        for k in range(1, K_LEVELS + 1):
+            assert is_k_reductive(sol, k) == expected[k]
+    # every alphabet is exercised, the hatted one on the bijective solutions
+    assert covered[DEFAULT_ALPHABET] == len(sols)
+    assert covered[FULL_ALPHABET] > 60 and covered[(SIGMA_INV, SIGMA_HAT_INV)] > 60
+
+
+def test_all_levels_deciders_bounds():
+    sol = lyubashenko3()
+    assert list(permutational_levels(sol, 0)) == [0]
+    assert reductive_levels(sol, 0) == {}
+    assert list(reductive_levels(sol, 3)) == [1, 2, 3]
+    with pytest.raises(ValueError):
+        permutational_levels(sol, -1)
+    with pytest.raises(ValueError):
+        is_k_reductive(sol, 0)
+
+
+def test_reductive_inverse_start_matches_per_height_reference():
+    checked = 0
+    for sol in _level_solutions():
+        for k in range(1, K_LEVELS + 1):
+            try:
+                expected = _reference_first_step_failures(sol, k, {SIGMA: SIGMA_INV, TAU: TAU_INV})
+            except SymbolUnavailable:
+                with pytest.raises(SymbolUnavailable):
+                    check_reductive_inverse_start(sol, k)
+                continue
+            assert check_reductive_inverse_start(sol, k) == expected, (sol, k)
+            checked += bool(expected)
+    # failures are compared too, not only empty lists
+    assert checked > 0
