@@ -71,6 +71,7 @@ from .retract import (
     mpl_prime,
     retract,
     retract_relation,
+    retract_tower,
 )
 from .search import (
     CensusResult,

@@ -22,9 +22,9 @@ from .omega import (
     permutational_levels,
     reductive_levels,
 )
-from .orbits import is_decomposable, orbit_decomposition
+from .orbits import orbit_decomposition
 from .qcycle import from_solution, is_regular, qcycle_diagonals, to_solution, validate_qcycle
-from .retract import mpl, mpl_prime, retract, retract_relation
+from .retract import Partition, mpl, mpl_prime, retract, retract_levels, retract_tower
 from .search import EnumFilter, census, check_frozen_census, enumerate_solutions
 from .suite import theorem_suite
 
@@ -101,7 +101,8 @@ def cmd_analyze(args):
     report = {"n": sol.n}
     if labels:
         report["labels"] = list(labels)
-    report["properties"] = properties(sol).as_dict()
+    props = properties(sol)
+    report["properties"] = props.as_dict()
     if args.diag:
         d = diagonal_maps(sol)
         report["diagonals"] = {
@@ -110,18 +111,21 @@ def cmd_analyze(args):
         if d.U is not None and d.T is not None:
             report["diagonal_identities"] = check_diagonal_identities(sol)
             report["diagonal_theorems"] = check_diagonal_theorems(sol)
+    # --retract, --mpl and --mpl-prime share one walk of the retract tower; a
+    # degenerate solution gets none, and retract, mpl and mpl_prime say why
+    tower = retract_tower(sol) if (args.mpl or args.mpl_prime) and props.nondegenerate else ()
     if args.retract:
-        res = retract(sol)
+        res = tower[0] if tower else retract(sol)
         report["retract"] = {
-            "blocks": retract_relation(sol, "forward").blocks(),
+            "blocks": Partition.from_keys(res.projection).blocks(),
             "quotient_n": res.quotient.n,
             "quotient": res.quotient,
             "projection": res.projection,
         }
     if args.mpl:
-        report["mpl"] = mpl(sol)
+        report["mpl"] = retract_levels(sol, tower)[0] if tower else mpl(sol)
     if args.mpl_prime:
-        report["mpl_prime"] = mpl_prime(sol)
+        report["mpl_prime"] = retract_levels(sol, tower)[1] if tower else mpl_prime(sol)
     if args.kperm:
         report["k_permutational"] = {
             k: {"holds": ok, "witness": witness}
@@ -155,7 +159,7 @@ def cmd_analyze(args):
         decomp = orbit_decomposition(sol)
         report["orbits"] = {
             "blocks": decomp.partition.blocks(),
-            "decomposable": is_decomposable(sol),
+            "decomposable": decomp.decomposable,
         }
     if args.invert:
         report["inverse"] = invert(sol)

@@ -20,7 +20,7 @@ build; is_k_permutational and is_k_reductive are their one-height views.
 
 from itertools import product
 
-from .core import invert, is_permutation, row_inverses
+from .core import invert, is_permutation, left_nondegenerate, right_nondegenerate, row_inverses
 from .errors import (
     ClosedFormMismatch,
     NotBijective,
@@ -280,7 +280,7 @@ def closed_form_U_inverse(sol, k, reductive=False):
     """U inverse as a single tower: apply the left translation family k times
     (k-1 times in the reductive case) starting and ending at the same element.
     Raises ClosedFormMismatch unless the result inverts U on both sides."""
-    if not all(is_permutation(row) for row in sol.sigma):
+    if not left_nondegenerate(sol):
         raise NotLeftNondegenerate("U is only defined for left non-degenerate solutions")
     table = _closed_form(sol, k, reductive, SIGMA)
     U = tuple(sol.sigma[x].index(x) for x in range(sol.n))
@@ -289,23 +289,11 @@ def closed_form_U_inverse(sol, k, reductive=False):
 
 def closed_form_T_inverse(sol, k, reductive=False):
     """Dual closed form for T inverse, through the right translation family."""
-    if not all(is_permutation(row) for row in sol.tau):
+    if not right_nondegenerate(sol):
         raise NotRightNondegenerate("T is only defined for right non-degenerate solutions")
     table = _closed_form(sol, k, reductive, TAU)
     T = tuple(sol.tau[x].index(x) for x in range(sol.n))
     return _check_inverts(table, T, "T")
-
-
-def _supported(sol, groups):
-    """The first symbol of each group whose action tables all exist."""
-    out = []
-    for group in groups:
-        try:
-            action_tables(sol, group)
-        except SymbolUnavailable:
-            continue
-        out.append(group[0])
-    return tuple(out)
 
 
 def check_omega_identities(sol, max_m, seed=0, symbols=None):
@@ -335,13 +323,16 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
     """
     n = sol.n
     carrier = range(n)
-    if symbols is None:
-        usable = _supported(sol, [(s,) for s in ALL_SYMBOLS])
-    else:
-        usable = tuple(symbols)
+    tables = {}
+    for s in ALL_SYMBOLS if symbols is None else symbols:
+        try:
+            tables[s] = action_table(sol, s)
+        except SymbolUnavailable:
+            if symbols is not None:
+                raise
+    usable = tuple(tables) if symbols is None else tuple(symbols)
     # only pair a symbol with its inverse when both sit in the alphabet
-    invertible = _supported(sol, [(s, INVERSE_OF[s]) for s in usable if INVERSE_OF[s] in usable])
-    tables = action_tables(sol, set(usable) | {INVERSE_OF[s] for s in invertible})
+    invertible = tuple(s for s in usable if INVERSE_OF[s] in tables)
     levels = _tower_levels(tables, usable, n, max_m)
     report = {"seed": seed}
 

@@ -30,6 +30,11 @@ class OrbitDecomposition:
     partition: Partition
     suborbits: tuple
 
+    @property
+    def decomposable(self):
+        """More than one element and more than one orbit."""
+        return self.partition.n > 1 and self.partition.num_blocks() > 1
+
 
 def _find(parent, x):
     while parent[x] != x:
@@ -53,18 +58,15 @@ def orbit_decomposition(sol):
     suborbits = []
     for block in partition.blocks():
         index = {e: i for i, e in enumerate(block)}
-        m = len(block)
-        sub_sigma = [[index[sol.sigma[block[a]][block[b]]] for b in range(m)] for a in range(m)]
-        sub_tau = [[index[sol.tau[block[a]][block[b]]] for b in range(m)] for a in range(m)]
+        sub_sigma = [[index[sol.sigma[a][b]] for b in block] for a in block]
+        sub_tau = [[index[sol.tau[a][b]] for b in block] for a in block]
         sub = FiniteSolution(sub_sigma, sub_tau)
         suborbits.append(Suborbit(elements=tuple(block), solution=sub))
     return OrbitDecomposition(partition=partition, suborbits=tuple(suborbits))
 
 
 def is_decomposable(sol):
-    """More than one element and more than one orbit."""
-    decomp = orbit_decomposition(sol)
-    return sol.n > 1 and decomp.partition.num_blocks() > 1
+    return orbit_decomposition(sol).decomposable
 
 
 def check_orbit_theorem(sol, k):

@@ -145,21 +145,6 @@ def is_irretractable(sol):
     return retract_relation(sol, "forward").num_blocks() == sol.n
 
 
-def mpl(sol):
-    """Least height at which the iterated retract collapses to one element,
-    or None when the tower stabilizes on a larger irretractable solution."""
-    require_nondegenerate(sol, "mpl")
-    cur = sol
-    k = 0
-    while cur.n > 1:
-        step = retract(cur)
-        if step.quotient.n == cur.n:
-            return None
-        cur = step.quotient
-        k += 1
-    return k
-
-
 def is_trivial(sol):
     identity = tuple(range(sol.n))
     return all(row == identity for row in sol.sigma) and all(
@@ -167,19 +152,40 @@ def is_trivial(sol):
     )
 
 
+def retract_tower(sol):
+    """retract(sol), then the retract of each quotient in turn, up to the
+    first quotient of size one or the first step that keeps the size; that
+    last quotient retracts to itself, so it stands for every greater height."""
+    steps, cur = [], sol
+    while True:
+        steps.append(retract(cur))
+        if steps[-1].quotient.n in (1, cur.n):
+            return tuple(steps)
+        cur = steps[-1].quotient
+
+
+def retract_levels(sol, tower):
+    """(mpl, mpl_prime) read from tower = retract_tower(sol): the least
+    heights at which the tower reaches one element and a trivial solution,
+    None where it stabilizes first.  Height 0 is sol itself."""
+    quotients = (sol, *(step.quotient for step in tower))
+    level = next((k for k, q in enumerate(quotients) if q.n == 1), None)
+    level_prime = next((k for k, q in enumerate(quotients) if is_trivial(q)), None)
+    return level, level_prime
+
+
+def mpl(sol):
+    """Least height at which the iterated retract collapses to one element,
+    or None when the tower stabilizes on a larger irretractable solution."""
+    require_nondegenerate(sol, "mpl")
+    return retract_levels(sol, retract_tower(sol))[0]
+
+
 def mpl_prime(sol):
     """Least height at which the iterated retract becomes a trivial solution,
     possibly of size above one; None when the tower stabilizes non-trivially."""
     require_nondegenerate(sol, "mpl_prime")
-    cur = sol
-    k = 0
-    while not is_trivial(cur):
-        step = retract(cur)
-        if step.quotient.n == cur.n:
-            return None
-        cur = step.quotient
-        k += 1
-    return k
+    return retract_levels(sol, retract_tower(sol))[1]
 
 
 def check_relation_coincidence(sol):
@@ -208,8 +214,8 @@ def check_retract_duality(sol):
     check (all entries expected empty/True)."""
     require_nondegenerate(sol, "check_retract_duality")
     inv = invert(sol)
-    ret = retract(sol)
-    ret_inv = retract(inv)
+    tower, tower_inv = retract_tower(sol), retract_tower(inv)
+    ret, ret_inv = tower[0], tower_inv[0]
     report = {"mutually_inverse": [], "mpl_equal": []}
     if ret.projection != ret_inv.projection:
         report["mutually_inverse"].append(("projections differ", ret.projection, ret_inv.projection))
@@ -217,7 +223,7 @@ def check_retract_duality(sol):
         report["mutually_inverse"].append(
             ("quotient tables differ", ret.quotient, ret_inv.quotient)
         )
-    level, level_inv = mpl(sol), mpl(inv)
+    level, level_inv = retract_levels(sol, tower)[0], retract_levels(inv, tower_inv)[0]
     if level != level_inv:
         report["mpl_equal"].append((level, level_inv))
     return report

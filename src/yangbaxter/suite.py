@@ -60,10 +60,9 @@ from .retract import (
     check_retract,
     check_retract_duality,
     is_trivial,
-    mpl,
-    mpl_prime,
-    retract,
+    retract_levels,
     retract_relation,
+    retract_tower,
 )
 from .search import EnumFilter, enumerate_solutions
 
@@ -119,7 +118,7 @@ def _payload(sol, detail):
 
 def _check_universal(sol, report, props):
     """Claims whose hypotheses any braid-valid solution meets."""
-    bad = [_payload(sol, v) for v in validate_braid(sol)]
+    bad = [] if props.braid_ok else [_payload(sol, v) for v in validate_braid(sol)]
     bad.extend(_payload(sol, ("routes disagree", v)) for v in check_braid_routes(sol))
     report.record("braid_routes_agree", bad)
 
@@ -305,7 +304,10 @@ def _check_nondegenerate(sol, report, props, red, perm):
             [] if d.U == perm_inverse(d.T) else [_payload(sol, (d.U, d.T))],
         )
 
-    ret = retract(sol)
+    # one walk of the retract tower; its last quotient stands for every greater height
+    tower = retract_tower(sol)
+    quotients = (sol, *(step.quotient for step in tower))
+    ret = tower[0]
     bad = [_payload(sol, f) for f in check_retract(sol, ret)]
     if not (left_nondegenerate(ret.quotient) and right_nondegenerate(ret.quotient)):
         bad.append(_payload(sol, ret.quotient))
@@ -331,7 +333,7 @@ def _check_nondegenerate(sol, report, props, red, perm):
         [_payload(sol, (k, w)) for k, ws in duality.items() for w in ws],
     )
 
-    level = mpl(sol)
+    level, level_prime = retract_levels(sol, tower)
     full = permutational_levels(sol, K_PERM_MAX, FULL_ALPHABET)
     hat = permutational_levels(sol, K_PERM_MAX, (SIGMA_INV, SIGMA_HAT_INV))
     bad = []
@@ -352,16 +354,10 @@ def _check_nondegenerate(sol, report, props, red, perm):
 
     bad = []
     for k in range(1, K_RED_MAX + 1):
-        if not red[k]:
-            continue
-        cur = sol
-        for _ in range(k - 1):
-            cur = retract(cur).quotient
-        if not is_trivial(cur):
+        if red[k] and not is_trivial(quotients[min(k - 1, len(quotients) - 1)]):
             bad.append(_payload(sol, k))
     report.record("reductive_tower_reaches_trivial", bad)
 
-    level_prime = mpl_prime(sol)
     bad = []
     if red[1] and level_prime != 0:
         bad.append(_payload(sol, (1, level_prime)))

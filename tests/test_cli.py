@@ -12,6 +12,7 @@ from yangbaxter import cli, search
 from yangbaxter.cli import build_parser, main
 from yangbaxter.documents import save_document, solution_to_document
 from yangbaxter.fixtures import FIXTURE_FILES, fixture_path, left_only3
+from yangbaxter.retract import retract_relation
 from yangbaxter.search import EnumFilter, enumerate_solutions
 
 ANALYZE_FLAGS = [
@@ -94,6 +95,49 @@ def test_analyze_retract_incompatibility_exits_1(left_only3_path, capsys):
     err = capsys.readouterr().err
     assert "CompatibilityError" in err
     assert "(0, 0, 0, 1)" in err
+
+
+def test_analyze_retract_and_mpl_incompatibility_exits_1(left_only3_path, capsys):
+    # --retract retracts the degenerate input before --mpl asks for
+    # non-degeneracy, so the incompatibility is what gets reported
+    assert main(["analyze", left_only3_path, "--retract", "--mpl"]) == 1
+    err = capsys.readouterr().err
+    assert "CompatibilityError" in err
+    assert "(0, 0, 0, 1)" in err
+
+
+def test_analyze_walks_the_retract_tower_once(tmp_path, monkeypatch, capsys):
+    retract_module = sys.modules["yangbaxter.retract"]
+    orbits_module = sys.modules["yangbaxter.orbits"]
+    calls = {"retract": 0, "retract_relation": 0, "orbit_decomposition": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (retract_module, orbits_module, cli):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    sols = list(enumerate_solutions(3, EnumFilter(require_nd=True)))
+    heights = set()
+    for sol in sols:
+        path = tmp_path / "sol.json"
+        save_document(path, solution_to_document(sol))
+        steps = len(retract_module.retract_tower(sol))
+        heights.add(steps)
+        for name in calls:
+            calls[name] = 0
+        flags = ["--retract", "--mpl", "--mpl-prime", "--orbits", "--json"]
+        assert main(["analyze", str(path), *flags]) == 0
+        report = json.loads(capsys.readouterr().out)
+        blocks = retract_relation(sol, "forward").blocks()
+        assert report["retract"]["blocks"] == [list(block) for block in blocks]
+        # one retract (and its one forward relation) per tower step
+        assert calls == {"retract": steps, "retract_relation": steps, "orbit_decomposition": 1}
+    assert len(sols) == 66 and len(heights) > 1
 
 
 def test_analyze_mpl(capsys):

@@ -28,7 +28,9 @@ from yangbaxter.fixtures import (
     z3group,
 )
 from yangbaxter.omega import (
+    ALL_SYMBOLS,
     DEFAULT_ALPHABET,
+    INVERSE_OF,
     FULL_ALPHABET,
     SIGMA,
     SIGMA_HAT_INV,
@@ -156,6 +158,40 @@ def test_omega_identities_on_fixtures():
         for name, result in report.items():
             if isinstance(result, dict):
                 assert result["failures"] == [], (name, result)
+
+
+def _supported_reference(sol, groups):
+    """The first symbol of each group whose action tables all exist."""
+    out = []
+    for group in groups:
+        try:
+            action_tables(sol, group)
+        except SymbolUnavailable:
+            continue
+        out.append(group[0])
+    return tuple(out)
+
+
+def test_omega_identities_default_alphabet_is_every_supported_symbol():
+    sols = _level_solutions()
+    sizes = set()
+    for sol in sols:
+        usable = _supported_reference(sol, [(s,) for s in ALL_SYMBOLS])
+        pairs = [(s, INVERSE_OF[s]) for s in usable if INVERSE_OF[s] in usable]
+        invertible = _supported_reference(sol, pairs)
+        report = check_omega_identities(sol, 2)
+        assert report == check_omega_identities(sol, 2, symbols=usable), sol
+        assert report["inverse_seed_m1"]["checked"] == len(invertible) * sol.n, sol
+        sizes.add(len(usable))
+    # solutions with every symbol, only sigma and tau, and partial alphabets
+    assert {2, 8} < sizes
+
+
+def test_omega_identities_unsupported_explicit_symbol_raises():
+    with pytest.raises(SymbolUnavailable):
+        check_omega_identities(left_only3(), 1, symbols=(SIGMA, TAU, TAU_INV))
+    with pytest.raises(SymbolUnavailable):
+        check_omega_identities(left_only3(), 1, symbols=(SIGMA, SIGMA_HAT_INV))
 
 
 def test_omega_identities_report_permutational_bound():

@@ -5,6 +5,7 @@ import pytest
 from yangbaxter import (
     ALL_SYMBOLS,
     CompatibilityError,
+    DomainError,
     EnumFilter,
     FiniteSolution,
     NotLeftNondegenerate,
@@ -23,8 +24,12 @@ from yangbaxter import (
     mpl_prime,
     retract,
     retract_relation,
+    retract_tower,
 )
+from yangbaxter.core import require_nondegenerate
+from yangbaxter.retract import retract_levels
 from yangbaxter.fixtures import (
+    derived2,
     left_only3,
     lyubashenko,
     lyubashenko3,
@@ -181,3 +186,93 @@ def test_retract_duality_on_fixtures():
         report = check_retract_duality(sol)
         assert report["mutually_inverse"] == []
         assert report["mpl_equal"] == []
+
+
+def _mpl_loop(sol):
+    """Reference: mpl as a loop of its own, one retract per height."""
+    require_nondegenerate(sol, "mpl")
+    cur = sol
+    k = 0
+    while cur.n > 1:
+        step = retract(cur)
+        if step.quotient.n == cur.n:
+            return None
+        cur = step.quotient
+        k += 1
+    return k
+
+
+def _mpl_prime_loop(sol):
+    """Reference: mpl_prime as a loop of its own, one retract per height."""
+    require_nondegenerate(sol, "mpl_prime")
+    cur = sol
+    k = 0
+    while not is_trivial(cur):
+        step = retract(cur)
+        if step.quotient.n == cur.n:
+            return None
+        cur = step.quotient
+        k += 1
+    return k
+
+
+def _outcome(fn, sol):
+    """fn(sol), or the type and message of what it raised."""
+    try:
+        return fn(sol)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def test_tower_views_match_the_per_height_loops():
+    # the suite populations up to n = 3, the n = 4 nd population and the fixtures
+    sols = [
+        *enumerate_solutions(1),
+        *enumerate_solutions(2),
+        *enumerate_solutions(3, EnumFilter(require_left_nd=True)),
+        *enumerate_solutions(4, EnumFilter(require_nd=True)),
+        singleton(), projection(2), projection(3), left_only3(), lyubashenko3(),
+        derived2(), z3group(),
+    ]
+    assert len(sols) == 1 + 43 + 354 + 1800 + 7
+    levels = {}
+    for sol in sols:
+        expected = _outcome(_mpl_loop, sol), _outcome(_mpl_prime_loop, sol)
+        assert (_outcome(mpl, sol), _outcome(mpl_prime, sol)) == expected, sol
+        levels[expected] = levels.get(expected, 0) + 1
+        try:
+            tower = retract_tower(sol)
+        except CompatibilityError as exc:
+            # a degenerate solution whose first retract already fails
+            with pytest.raises(CompatibilityError) as ref:
+                retract(sol)
+            assert (ref.value.op, ref.value.witness) == (exc.op, exc.witness)
+            continue
+        quotients = (sol, *(step.quotient for step in tower))
+        for prev, step in zip(quotients, tower):
+            assert step == retract(prev), sol
+        # the walk stops at the first quotient of size one or the first
+        # step that keeps the size, and that quotient retracts to itself
+        sizes = [q.n for q in quotients]
+        assert all(1 < a and b < a for a, b in zip(sizes[:-1], sizes[1:-1])), sol
+        assert sizes[-1] == 1 or sizes[-1] == sizes[-2], sol
+        assert retract(quotients[-1]).quotient == quotients[-1], sol
+        if not isinstance(expected[0], tuple):
+            assert retract_levels(sol, tower) == expected, sol
+    # stalled and collapsing towers of several heights, and degenerate inputs
+    values = {v for pair in levels for v in pair}
+    assert {None, 0, 1, 2, 3} <= values
+    assert any(isinstance(v, tuple) and v[0] is NotNondegenerate for v in values)
+
+
+def test_retract_tower_fixtures():
+    assert [step.quotient.n for step in retract_tower(singleton())] == [1]
+    assert [step.quotient.n for step in retract_tower(projection(3))] == [1]
+    assert [step.quotient.n for step in retract_tower(lyubashenko3())] == [1]
+    assert retract_tower(lyubashenko3())[0] == retract(lyubashenko3())
+    with pytest.raises(CompatibilityError):
+        retract_tower(left_only3())
+    with pytest.raises(NotNondegenerate, match="^mpl_prime needs"):
+        mpl_prime(left_only3())
+    with pytest.raises(NotNondegenerate, match="^mpl needs"):
+        mpl(left_only3())
