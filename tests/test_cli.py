@@ -10,8 +10,10 @@ import pytest
 
 from yangbaxter import cli, search
 from yangbaxter.cli import build_parser, main
-from yangbaxter.documents import save_document, solution_to_document
-from yangbaxter.fixtures import FIXTURE_FILES, fixture_path, left_only3
+from yangbaxter.documents import qcycle_to_document, save_document, solution_to_document
+from yangbaxter.core import FiniteSolution
+from yangbaxter.fixtures import FIXTURE_FILES, fixture_path, left_only3, lyubashenko3
+from yangbaxter.qcycle import from_solution
 from yangbaxter.retract import retract_relation
 from yangbaxter.search import EnumFilter, enumerate_solutions
 
@@ -39,7 +41,16 @@ GATE = {
         (0,), "5e5c238f7d8e12b9e822016701c467edb9032f0afdd40b2603267811a56188c5"),
     "enumerate 3 left-nd": (
         (0,), "b63d62d7f2de3c8333b4f9f4e53d5da8642051714d7f83cc676066f3a1c06142"),
+    "analyze non-ASCII labels": (
+        (0, 0), "f03c61026c9101e1d42c6356b3d74d52a08ef512368eeda172314540be46accb"),
+    "enumerate 3 nd census": (
+        (0,), "a8e171c4f1ed70b81a471aa57c85faf2aeb4a5ae33d98c4fcae27235da1db915"),
+    "enumerate 3 nd check-frozen": (
+        (0,), "60809ffd9019aeec3a2e302f5f8defd51cb54e44cb04014ffdcbb035406c56c5"),
 }
+# Labels that the JSON escaper must spell out: non-ASCII letters, a quote, a
+# backslash, control characters, a line separator and an astral character.
+ESCAPED_LABELS = ["α\"ß", "\\é\t", "日本\u2028\x00😀"]
 
 
 @pytest.fixture
@@ -342,6 +353,10 @@ def test_stdout_bytes_and_exit_codes_are_pinned(tmp_path, capsys):
         "sigma": [[0, 1], [1, 0]], "tau": [[0, 1], [0, 1]],
     })
     no_qcycle = [f for f in ANALYZE_FLAGS if f != "--qcycle"]
+    labelled = [str(tmp_path / "labelled_solution.json"), str(tmp_path / "labelled_qcycle.json")]
+    save_document(labelled[0], solution_to_document(lyubashenko3(), ESCAPED_LABELS))
+    swap12 = FiniteSolution([[0, 1, 2]] * 3, [[0, 1, 2], [0, 2, 1], [0, 2, 1]])
+    save_document(labelled[1], qcycle_to_document(from_solution(swap12), ESCAPED_LABELS))
     groups = {
         "analyze nd n=3": [["analyze", p, *ANALYZE_FLAGS] for p in nd3],
         "analyze fixtures": [
@@ -360,6 +375,11 @@ def test_stdout_bytes_and_exit_codes_are_pinned(tmp_path, capsys):
         "suite n-max 2": [["suite", "--n-max", "2", "--json"]],
         "suite n-max 3": [["suite", "--n-max", "3", "--json"]],
         "enumerate 3 left-nd": [["enumerate", "3", "--left-nd"]],
+        "analyze non-ASCII labels": [
+            ["analyze", p, *ANALYZE_FLAGS, "--omega-identities"] for p in labelled
+        ],
+        "enumerate 3 nd census": [["enumerate", "3", "--nd", "--census", "--json"]],
+        "enumerate 3 nd check-frozen": [["enumerate", "3", "--nd", "--check-frozen", "--json"]],
     }
     observed = {}
     for name, runs in groups.items():
