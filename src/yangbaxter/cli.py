@@ -8,8 +8,10 @@ mathematical preconditions), 2 unreadable or malformed input.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 from . import search
 from .core import FiniteSolution, invert, properties, validate_braid
@@ -33,23 +35,69 @@ EXIT_MATH = 1
 EXIT_INPUT = 2
 
 
-def _jsonable(obj):
-    """A report as plain JSON values, in one walk: tuples become lists, a
-    solution its two tables, and dict keys strings, so that ``sort_keys``
-    orders level 10 before level 2.  Anything else is returned as it is."""
+def _write_json(obj, out, newline):
+    """Append to out the text json.dumps(obj, indent=1, sort_keys=True) gives
+    for obj seen as plain JSON values, in one walk: tuples are arrays, a
+    solution is its two tables, and dict keys are made strings before they
+    are sorted, so level 10 comes before level 2.  newline is the line break
+    and indentation in front of obj's closing bracket.  Dispatch is on the
+    exact type; any other type raises TypeError, as json.dumps does."""
     kind = type(obj)
     if kind is dict:
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if kind is list or kind is tuple:
-        return [_jsonable(v) for v in obj]
-    if kind is FiniteSolution:
-        return {"sigma": [list(row) for row in obj.sigma], "tau": [list(row) for row in obj.tau]}
-    return obj
+        if not obj:
+            out.append("{}")
+            return
+        if not all(type(key) is str for key in obj):
+            obj = {str(key): value for key, value in obj.items()}
+        inner = newline + " "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(obj):
+            out.append(sep + _escape(key) + ": ")
+            _write_json(obj[key], out, inner)
+            sep = comma
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + " "
+        sep, comma = "[" + inner, "," + inner
+        for value in obj:
+            if type(value) is int:
+                out.append(sep + int.__repr__(value))
+            else:
+                out.append(sep)
+                _write_json(value, out, inner)
+            sep = comma
+        out.append(newline + "]")
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is str:
+        out.append(_escape(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif kind is FiniteSolution:
+        _write_json({"sigma": obj.sigma, "tau": obj.tau}, out, newline)
+    elif kind is float:
+        if math.isnan(obj):
+            out.append("NaN")
+        elif math.isinf(obj):
+            out.append("Infinity" if obj > 0 else "-Infinity")
+        else:
+            out.append(float.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _emit(report, as_json):
     if as_json:
-        print(json.dumps(_jsonable(report), indent=1, sort_keys=True))
+        out = []
+        _write_json(report, out, "\n")
+        print("".join(out))
     else:
         for key, value in report.items():
             print(f"{key}: {value}")

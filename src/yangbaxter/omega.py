@@ -44,6 +44,7 @@ ALL_SYMBOLS = (
     SIGMA, SIGMA_INV, TAU, TAU_INV,
     SIGMA_HAT, SIGMA_HAT_INV, TAU_HAT, TAU_HAT_INV,
 )
+HATTED = (SIGMA_HAT, SIGMA_HAT_INV, TAU_HAT, TAU_HAT_INV)
 DEFAULT_ALPHABET = (SIGMA, TAU)
 FULL_ALPHABET = (SIGMA, SIGMA_INV, TAU, TAU_INV)
 
@@ -60,39 +61,46 @@ def _inverse_rows(table, symbol):
     return row_inverses(table)
 
 
-def action_tables(sol, symbols):
+def action_tables(sol, symbols, skip_unavailable=False):
     """The action table of each requested symbol: table[x][z] applies the
-    translation indexed by x to z.  Raises SymbolUnavailable when the solution
-    lacks the invertibility a symbol needs."""
+    translation indexed by x to z.  The hatted symbols share one inversion of
+    the solution.  Raises SymbolUnavailable when the solution lacks the
+    invertibility a symbol needs; with skip_unavailable that symbol is left
+    out instead."""
     tables = {}
-    inv_sol = None
-    need_hat = any(s in (SIGMA_HAT, SIGMA_HAT_INV, TAU_HAT, TAU_HAT_INV) for s in symbols)
-    if need_hat:
+    inv_sol = hat_error = None
+    if any(s in HATTED for s in symbols):
         try:
             inv_sol = invert(sol)
         except NotBijective as exc:
-            raise SymbolUnavailable(
-                "hatted symbols need a bijective pair map", witness=exc.witness
-            ) from exc
+            hat_error = exc
     for s in symbols:
-        if s == SIGMA:
-            tables[s] = sol.sigma
-        elif s == TAU:
-            tables[s] = sol.tau
-        elif s == SIGMA_INV:
-            tables[s] = _inverse_rows(sol.sigma, s)
-        elif s == TAU_INV:
-            tables[s] = _inverse_rows(sol.tau, s)
-        elif s == SIGMA_HAT:
-            tables[s] = inv_sol.sigma
-        elif s == TAU_HAT:
-            tables[s] = inv_sol.tau
-        elif s == SIGMA_HAT_INV:
-            tables[s] = _inverse_rows(inv_sol.sigma, s)
-        elif s == TAU_HAT_INV:
-            tables[s] = _inverse_rows(inv_sol.tau, s)
-        else:
-            raise SymbolUnavailable(f"unknown symbol {s!r}")
+        try:
+            if hat_error is not None and s in HATTED:
+                raise SymbolUnavailable(
+                    "hatted symbols need a bijective pair map", witness=hat_error.witness
+                ) from hat_error
+            if s == SIGMA:
+                tables[s] = sol.sigma
+            elif s == TAU:
+                tables[s] = sol.tau
+            elif s == SIGMA_INV:
+                tables[s] = _inverse_rows(sol.sigma, s)
+            elif s == TAU_INV:
+                tables[s] = _inverse_rows(sol.tau, s)
+            elif s == SIGMA_HAT:
+                tables[s] = inv_sol.sigma
+            elif s == TAU_HAT:
+                tables[s] = inv_sol.tau
+            elif s == SIGMA_HAT_INV:
+                tables[s] = _inverse_rows(inv_sol.sigma, s)
+            elif s == TAU_HAT_INV:
+                tables[s] = _inverse_rows(inv_sol.tau, s)
+            else:
+                raise SymbolUnavailable(f"unknown symbol {s!r}")
+        except SymbolUnavailable:
+            if not skip_unavailable:
+                raise
     return tables
 
 
@@ -323,13 +331,9 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
     """
     n = sol.n
     carrier = range(n)
-    tables = {}
-    for s in ALL_SYMBOLS if symbols is None else symbols:
-        try:
-            tables[s] = action_table(sol, s)
-        except SymbolUnavailable:
-            if symbols is not None:
-                raise
+    tables = action_tables(
+        sol, ALL_SYMBOLS if symbols is None else symbols, skip_unavailable=symbols is None
+    )
     usable = tuple(tables) if symbols is None else tuple(symbols)
     # only pair a symbol with its inverse when both sit in the alphabet
     invertible = tuple(s for s in usable if INVERSE_OF[s] in tables)

@@ -208,13 +208,16 @@ def check_relation_coincidence(sol):
     }
 
 
-def check_retract_duality(sol):
+def check_retract_duality(sol, tower=None):
     """The retract of the inverse solution is the inverse of the retract, and
-    both have the same multipermutation level.  Returns a failure dict per
-    check (all entries expected empty/True)."""
+    both have the same multipermutation level.  tower, when given, is
+    retract_tower(sol), already walked by the caller.  Returns a failure dict
+    per check (all entries expected empty/True)."""
     require_nondegenerate(sol, "check_retract_duality")
     inv = invert(sol)
-    tower, tower_inv = retract_tower(sol), retract_tower(inv)
+    if tower is None:
+        tower = retract_tower(sol)
+    tower_inv = retract_tower(inv)
     ret, ret_inv = tower[0], tower_inv[0]
     report = {"mutually_inverse": [], "mpl_equal": []}
     if ret.projection != ret_inv.projection:

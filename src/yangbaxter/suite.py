@@ -327,7 +327,7 @@ def _check_nondegenerate(sol, report, props, red, perm):
         [_payload(sol, pair) for pair in coincidence["disagreements"]],
     )
 
-    duality = check_retract_duality(sol)
+    duality = check_retract_duality(sol, tower)
     report.record(
         "retract_duality",
         [_payload(sol, (k, w)) for k, ws in duality.items() for w in ws],

@@ -53,6 +53,52 @@ GATE = {
 ESCAPED_LABELS = ["α\"ß", "\\é\t", "日本\u2028\x00😀"]
 
 
+def _plain(obj):
+    """obj as the values json.dumps takes: tuples as lists, a solution as its
+    two tables and dict keys as strings."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, FiniteSolution):
+        return {"sigma": _plain(obj.sigma), "tau": _plain(obj.tau)}
+    return obj
+
+
+# Shapes the gated runs do not reach; each is written by the report writer and
+# by json.dumps(_plain(obj), indent=1, sort_keys=True).
+WRITER_CORPUS = [
+    {},
+    [],
+    (),
+    {"a": {}, "b": [], "c": [[], {}, ()], "d": {"e": {"f": []}}},
+    [[[]], [{}]],
+    {10: "ten", 2: "two", True: "true", None: "none", -1: [1, 2], 0.5: "half"},
+    {1: "int first", "1": "str last"},
+    ["ascii", "αβγ", 'quote " here', "back\\slash", "\x00\x01\x1f\x7f\n\r\t", "\u2028😀", ""],
+    {"é": 1, "e": 2, "\"": 3},
+    [0.1, 1e-07, -0.0, 1e300, float("nan"), float("inf"), float("-inf")],
+    [True, False, None, 0, -7, 2**70, [True, 1, False, 0]],
+    [(1, 2), [(3, (4, 5)), ()], ((),)],
+    {"solution": FiniteSolution([[1, 0], [1, 0]], [[1, 0], [1, 0]]), "rows": (left_only3(),)},
+    "top-level string",
+    3,
+    None,
+]
+
+
+@pytest.mark.parametrize("obj", WRITER_CORPUS)
+def test_json_writer_matches_json_dumps(obj, capsys):
+    cli._emit(obj, True)
+    assert capsys.readouterr().out == json.dumps(_plain(obj), indent=1, sort_keys=True) + "\n"
+
+
+def test_json_writer_rejects_other_types():
+    for obj in ({1, 2}, {"levels": [frozenset()]}, [object()]):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._emit(obj, True)
+
+
 @pytest.fixture
 def left_only3_path():
     return str(fixture_path("left_only3.json"))

@@ -1,3 +1,4 @@
+import sys
 from itertools import product
 
 import pytest
@@ -185,6 +186,21 @@ def test_omega_identities_default_alphabet_is_every_supported_symbol():
         sizes.add(len(usable))
     # solutions with every symbol, only sigma and tau, and partial alphabets
     assert {2, 8} < sizes
+
+
+@pytest.mark.parametrize(
+    "sol, usable",
+    [(lyubashenko3(), ALL_SYMBOLS), (left_only3(), (SIGMA, SIGMA_INV, TAU))],
+    ids=["bijective", "degenerate"],
+)
+def test_omega_identities_invert_once(sol, usable, monkeypatch):
+    omega_module = sys.modules["yangbaxter.omega"]
+    real, calls = omega_module.invert, []
+    monkeypatch.setattr(omega_module, "invert", lambda s: calls.append(s) or real(s))
+    report = check_omega_identities(sol, 3)
+    assert len(calls) == 1
+    # the hatted symbols come from that one inversion, or are left out
+    assert report == check_omega_identities(sol, 3, symbols=usable)
 
 
 def test_omega_identities_unsupported_explicit_symbol_raises():

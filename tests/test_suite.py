@@ -49,6 +49,18 @@ def test_suite_records_open_question_observations():
     )
 
 
+def test_suite_walks_each_retract_tower_once(monkeypatch):
+    # the 71 non-degenerate n <= 3 solutions have 107 tower steps in all; the
+    # suite walks each tower once for itself and check_retract_duality walks
+    # only the inverse's, so a second walk of the same tower shows as 321
+    retract_module = sys.modules["yangbaxter.retract"]
+    real, calls = retract_module.retract, []
+    monkeypatch.setattr(retract_module, "retract", lambda sol: calls.append(sol) or real(sol))
+    report = theorem_suite(3)
+    assert report.ok()
+    assert len(calls) == 214
+
+
 def test_suite_deterministic():
     a = theorem_suite(2)
     b = theorem_suite(2)
