@@ -68,18 +68,18 @@ def action_tables(sol, symbols, skip_unavailable=False):
     invertibility a symbol needs; with skip_unavailable that symbol is left
     out instead."""
     tables = {}
-    inv_sol = hat_error = None
+    inv_sol = None
     if any(s in HATTED for s in symbols):
         try:
             inv_sol = invert(sol)
         except NotBijective as exc:
-            hat_error = exc
+            if not skip_unavailable:
+                raise SymbolUnavailable(
+                    "hatted symbols need a bijective pair map", witness=exc.witness
+                ) from exc
+            symbols = [s for s in symbols if s not in HATTED]
     for s in symbols:
         try:
-            if hat_error is not None and s in HATTED:
-                raise SymbolUnavailable(
-                    "hatted symbols need a bijective pair map", witness=hat_error.witness
-                ) from hat_error
             if s == SIGMA:
                 tables[s] = sol.sigma
             elif s == TAU:
@@ -331,9 +331,10 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
     """
     n = sol.n
     carrier = range(n)
-    tables = action_tables(
-        sol, ALL_SYMBOLS if symbols is None else symbols, skip_unavailable=symbols is None
-    )
+    if symbols is None:
+        tables = action_tables(sol, ALL_SYMBOLS, skip_unavailable=True)
+    else:
+        tables = {s: action_table(sol, s) for s in symbols}
     usable = tuple(tables) if symbols is None else tuple(symbols)
     # only pair a symbol with its inverse when both sit in the alphabet
     invertible = tuple(s for s in usable if INVERSE_OF[s] in tables)
