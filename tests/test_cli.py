@@ -47,6 +47,12 @@ GATE = {
         (0,), "a8e171c4f1ed70b81a471aa57c85faf2aeb4a5ae33d98c4fcae27235da1db915"),
     "enumerate 3 nd check-frozen": (
         (0,), "60809ffd9019aeec3a2e302f5f8defd51cb54e44cb04014ffdcbb035406c56c5"),
+    "enumerate 3 nd iso": (
+        (0,), "9d48b9fa3464d686953613763c6d80463b4c834d778f19db8391d4ddf039ac73"),
+    "enumerate 4 nd iso": (
+        (0,), "de6338d9e344d2718899a93e9e140f37a022ade90592a3c274ea365d638e96b0"),
+    "enumerate 4 nd census": (
+        (0, 0, 0), "45f73a893a6d0ebb89b13367b86c4adea0157db9b9d9b96a9430315dae7675dd"),
 }
 # Labels that the JSON escaper must spell out: non-ASCII letters, a quote, a
 # backslash, control characters, a line separator and an astral character.
@@ -426,6 +432,12 @@ def test_stdout_bytes_and_exit_codes_are_pinned(tmp_path, capsys):
         ],
         "enumerate 3 nd census": [["enumerate", "3", "--nd", "--census", "--json"]],
         "enumerate 3 nd check-frozen": [["enumerate", "3", "--nd", "--check-frozen", "--json"]],
+        "enumerate 3 nd iso": [["enumerate", "3", "--nd", "--iso"]],
+        "enumerate 4 nd iso": [["enumerate", "4", "--nd", "--iso"]],
+        "enumerate 4 nd census": [
+            ["enumerate", "4", "--nd", *extra, "--census", "--json"]
+            for extra in ([], ["--involutive"], ["--square-free"])
+        ],
     }
     observed = {}
     for name, runs in groups.items():
