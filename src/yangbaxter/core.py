@@ -281,13 +281,16 @@ def check_inverse(sol, inv):
     return failures
 
 
+def _relabeled_table(table, pi, pinv):
+    """The n x n table transported along pi, whose inverse is pinv: the entry
+    at (pi(i), pi(j)) is pi(table[i][j])."""
+    return tuple(tuple([pi[table[i][j]] for j in pinv]) for i in pinv)
+
+
 def _relabeled_tables(sol, pi):
     """The (sigma, tau) tuples of sol transported along pi, unvalidated."""
     pinv = perm_inverse(pi)
-    return tuple(
-        tuple(tuple([pi[table[i][j]] for j in pinv]) for i in pinv)
-        for table in (sol.sigma, sol.tau)
-    )
+    return _relabeled_table(sol.sigma, pi, pinv), _relabeled_table(sol.tau, pi, pinv)
 
 
 def relabel(sol, pi):

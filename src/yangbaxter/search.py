@@ -22,19 +22,31 @@ Two independent routes produce the same populations:
   composition of the two triple maps (vectorized over the right-table batch,
   but never skipping a candidate).
 
-``census`` and the ``up_to_iso`` stream share one class pass.  A relabeling
-that fixes 0 conjugates the head row sigma_0 and carries the solutions with
-one head onto those with the conjugate head, so the pass searches only the
-least head row of each conjugacy orbit (7 of the 24 at n = 4 with
-permutation rows) and counts each solution found once per head in its
-orbit.  Classes are counted by marking orbits: the first solution of a class
-in the searched stream marks those relabelings of itself whose head row is a
-representative, later members are found marked, and the least marked
-relabeling is the class's canonical form.
+``census`` and the ``up_to_iso`` stream count classes in one of two passes.
+Filters with permutation rows on both sides go through derived racks (see
+``derived``): the racks are enumerated and grouped into isomorphism classes,
+and each class's least rack R is searched for left tables with rows in
+Aut(R).  Every other filter goes through the watch-list search.  In both, a
+relabeling that fixes 0 (and, for the rack route, lies in Aut(R))
+conjugates the head row sigma_0 and carries the solutions with one head
+onto those with the conjugate head, so the pass searches only the least
+head row of each conjugacy orbit (7 of the 24 at n = 4 with permutation
+rows in the watch-list pass) and counts each solution found once per head
+in its orbit; the rack route multiplies by the n! / |Aut R| racks of R's
+class.  Classes are counted by marking orbits: the first solution of a
+class in the searched stream marks those relabelings of itself (in Aut(R)
+for the rack route) whose head row is a representative, and later members
+are found marked.  In the watch-list pass the least marked relabeling is the
+class's canonical form; the rack route takes the least of all relabelings
+of the class's first solution, and only for the ``up_to_iso`` stream.  The
+watch-list stream of a two-sided filter stays the cross-check of the rack
+route.
 
-Census counts frozen into the shipped regression file were generated by the
-oracle once; the build refuses to trust a pruned count that diverges from a
-frozen one.
+Census counts frozen into the shipped regression file come from a route that
+production does not use for the cell: the oracle wherever it finishes, and
+the watch-list stream with one canonical form per solution for the
+two-sided non-degenerate cells at n = 4.  The build refuses to trust a
+production count that diverges from a frozen one.
 """
 
 import multiprocessing
@@ -42,6 +54,7 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 from itertools import permutations, product
+from math import factorial
 
 import numpy as np
 
@@ -54,6 +67,7 @@ from .core import (
     perm_inverse,
     square_free_witness,
 )
+from .derived import rack_classes, solutions as rack_solutions
 from .errors import ParseError, SizeTooLarge
 
 MAX_N_UNRESTRICTED = 3
@@ -351,19 +365,21 @@ def _conjugate(row, pi, pinv):
     return tuple(pi[row[j]] for j in pinv)
 
 
-def _head_orbits(n, perms_only):
-    """The orbits of the head rows under h -> pi h pi^-1 for the relabelings
-    pi with pi(0) = 0, as (least row of the orbit, orbit size) pairs in row
-    order.
+def _head_orbits(rows, group):
+    """The orbits of rows under h -> pi h pi^-1 for the relabelings pi in
+    group with pi(0) = 0, as (least row of the orbit, orbit size) pairs in
+    row order; rows is sorted and closed under these conjugations.
 
     Such a pi carries a solution with head row h onto one with head row
-    pi h pi^-1, so it is a bijection between the solutions of conjugate
-    heads, and every filter is kept, being invariant under relabeling.
+    pi h pi^-1, so when pi keeps the population (every relabeling keeps
+    every filter, and an automorphism of a derived rack keeps the solutions
+    over that rack) it is a bijection between the solutions of conjugate
+    heads.
     """
-    fixing = [(pi, perm_inverse(pi)) for pi in permutations(range(n)) if pi[0] == 0]
+    fixing = [(pi, perm_inverse(pi)) for pi in group if pi[0] == 0]
     seen = set()
     orbits = []
-    for row in _row_options(n, perms_only):
+    for row in rows:
         if row in seen:
             continue
         orbit = {_conjugate(row, pi, pinv) for pi, pinv in fixing}
@@ -376,6 +392,18 @@ def _flat_key(tables):
     """The entries of a (sigma, tau) pair as one bytes object; for tables of
     one size, bytes order is the lexicographic order of the tables."""
     return bytes(v for table in tables for row in table for v in row)
+
+
+def _marked_images(sol, group, orbits):
+    """The relabelings of sol by the (pi, pi^-1) pairs of group whose head
+    row is a representative in orbits, as (flat key, tables) pairs."""
+    images = []
+    for pi, pinv in group:
+        # the head row of the relabeled solution
+        if _conjugate(sol.sigma[pinv[0]], pi, pinv) in orbits:
+            tables = _relabeled_tables(sol, pi)
+            images.append((_flat_key(tables), tables))
+    return images
 
 
 def _class_pass(n, filt, workers):
@@ -391,7 +419,8 @@ def _class_pass(n, filt, workers):
     relabeling has the least head row of its orbit, since conjugating by a
     relabeling that fixes 0 never takes it lower.
     """
-    orbits = dict(_head_orbits(n, filt.left_rows_permutations))
+    rows = _row_options(n, filt.left_rows_permutations)
+    orbits = dict(_head_orbits(rows, permutations(range(n))))
     relabelings = [(pi, perm_inverse(pi)) for pi in permutations(range(n))]
     raw = 0
     marked = set()
@@ -400,15 +429,47 @@ def _class_pass(n, filt, workers):
         raw += orbits[sol.sigma[0]]
         if _flat_key((sol.sigma, sol.tau)) in marked:
             continue
-        images = []
-        for pi, pinv in relabelings:
-            # the head row of the relabeled solution
-            if _conjugate(sol.sigma[pinv[0]], pi, pinv) in orbits:
-                tables = _relabeled_tables(sol, pi)
-                images.append((_flat_key(tables), tables))
+        images = _marked_images(sol, relabelings, orbits)
         marked.update(key for key, _ in images)
         classes.append(min(images))
     return raw, classes
+
+
+def _through_racks(filt):
+    """Whether the filter asks for permutation rows on both sides, so that
+    its solutions are counted through their derived racks."""
+    return filt.left_rows_permutations and filt.right_rows_permutations
+
+
+def _rack_class_pass(n, filt):
+    """The raw count and the first solution found of each isomorphism class,
+    rack class by rack class (see derived).
+
+    Isomorphic solutions have isomorphic derived racks, and a relabeling
+    keeps the solutions over a rack R exactly when it is an automorphism of
+    R.  So the n! / |Aut R| racks of R's class have as many solutions each as
+    R, and the classes over R are the orbits of Aut(R) on the solutions over
+    R.  Within R the search takes the least head row of each orbit under the
+    automorphisms that fix 0, and counts and marks as _class_pass does, with
+    Aut(R) in place of all relabelings.
+    """
+    raw = 0
+    firsts = []
+    for rack, automorphisms in rack_classes(n):
+        orbits = dict(_head_orbits(automorphisms, automorphisms))
+        group = [(pi, perm_inverse(pi)) for pi in automorphisms]
+        found = 0
+        marked = set()
+        for sol in rack_solutions(rack, automorphisms, list(orbits)):
+            if not _passes(sol, filt):
+                continue
+            found += orbits[sol.sigma[0]]
+            if _flat_key((sol.sigma, sol.tau)) in marked:
+                continue
+            marked.update(key for key, _ in _marked_images(sol, group, orbits))
+            firsts.append(sol)
+        raw += factorial(n) // len(automorphisms) * found
+    return raw, firsts
 
 
 def enumerate_solutions(n, filt=EnumFilter(), workers=1):
@@ -421,9 +482,13 @@ def enumerate_solutions(n, filt=EnumFilter(), workers=1):
     """
     _check_bounds(n, filt)
     if filt.up_to_iso:
-        _, classes = _class_pass(n, filt, workers)
-        for _, tables in sorted(classes):
-            yield FiniteSolution(*tables)
+        if _through_racks(filt):
+            _, firsts = _rack_class_pass(n, filt)
+            forms = [canonical_form(sol) for sol in firsts]
+        else:
+            _, classes = _class_pass(n, filt, workers)
+            forms = [FiniteSolution(*tables) for _, tables in classes]
+        yield from sorted(forms, key=lambda sol: _flat_key((sol.sigma, sol.tau)))
         return
     heads = _row_options(n, filt.left_rows_permutations)
     yield from _head_stream(n, filt, heads, workers)
@@ -432,13 +497,18 @@ def enumerate_solutions(n, filt=EnumFilter(), workers=1):
 def census(n, filt=EnumFilter(), workers=1):
     """Raw and up-to-isomorphism counts for one (n, filter) cell.
 
-    One search runs from the least head row of each conjugacy orbit of head
-    rows; each solution it finds counts its orbit's size toward raw, and
-    each class it meets is counted once by marking the class's relabelings
-    (see _class_pass).  So raw is the length of the full stream and iso the
-    number of distinct canonical forms in it."""
+    Filters with permutation rows on both sides are counted through their
+    derived racks, in this process (see _rack_class_pass); the others by one
+    search from the least head row of each conjugacy orbit of head rows, in
+    which each solution found counts its orbit's size toward raw and each
+    class met is counted once by marking (see _class_pass).  Either way raw
+    is the length of the full stream and iso the number of distinct
+    canonical forms in it."""
     _check_bounds(n, filt)
-    raw, classes = _class_pass(n, filt, workers)
+    if _through_racks(filt):
+        raw, classes = _rack_class_pass(n, filt)
+    else:
+        raw, classes = _class_pass(n, filt, workers)
     return CensusResult(raw=raw, iso=len(classes))
 
 
@@ -552,6 +622,9 @@ FROZEN_CELLS = (
     (3, "left_nd+bijective"),
     (3, "nd+involutive"),
     (3, "nd+square_free"),
+    (4, "nd"),
+    (4, "nd+involutive"),
+    (4, "nd+square_free"),
 )
 
 

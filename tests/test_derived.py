@@ -1,0 +1,99 @@
+from itertools import permutations, product
+from math import factorial
+
+import pytest
+
+from yangbaxter import derived
+from yangbaxter.core import perm_inverse
+from yangbaxter.search import EnumFilter, enumerate_solutions
+
+# labeled racks and rack classes on n = 1..4 points (OEIS A181771)
+LABELED_RACKS = {1: 1, 2: 2, 3: 13, 4: 114}
+RACK_CLASSES = {1: 1, 2: 2, 3: 6, 4: 19}
+
+
+def _is_rack(op):
+    """Every row of op is a bijection and y |> (x |> z) = (y |> x) |> (y |> z)."""
+    n = len(op)
+    return all(sorted(row) == list(range(n)) for row in op) and all(
+        op[y][op[x][z]] == op[op[y][x]][op[y][z]] for y, x, z in product(range(n), repeat=3)
+    )
+
+
+def _relabeled(op, pi):
+    pinv = perm_inverse(pi)
+    return tuple(tuple(pi[op[a][b]] for b in pinv) for a in pinv)
+
+
+def _derived_rack(sol):
+    """op[y][x] = sigma_y(tau_{sigma_x^-1(y)}(x)), read off the tables."""
+    n = sol.n
+    sinv = [perm_inverse(row) for row in sol.sigma]
+    return tuple(
+        tuple(sol.sigma[y][sol.tau[sinv[x][y]][x]] for x in range(n)) for y in range(n)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_labeled_racks_are_every_rack_in_order(n):
+    perms = sorted(permutations(range(n)))
+    expected = [op for op in product(perms, repeat=n) if _is_rack(op)]
+    assert list(derived.labeled_racks(n)) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rack_counts(n):
+    racks = list(derived.labeled_racks(n))
+    assert len(racks) == LABELED_RACKS[n]
+    assert all(_is_rack(op) for op in racks)
+    classes = derived.rack_classes(n)
+    assert len(classes) == RACK_CLASSES[n]
+    assert sum(factorial(n) // len(automorphisms) for _, automorphisms in classes) == len(racks)
+    covered = set()
+    for rack, automorphisms in classes:
+        orbit = {_relabeled(rack, pi) for pi in permutations(range(n))}
+        assert rack == min(orbit) and not orbit & covered
+        covered |= orbit
+        assert automorphisms == [pi for pi in permutations(range(n)) if _relabeled(rack, pi) == rack]
+    assert covered == set(racks)
+    assert [rack for rack, _ in classes] == sorted(rack for rack, _ in classes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_nd_solutions_are_fixed_by_rack_and_left_table(n):
+    # the route rests on this: the derived operation is a rack, each row
+    # sigma_x is one of its automorphisms, and the two give back tau
+    count = 0
+    for sol in enumerate_solutions(n, EnumFilter(require_nd=True)):
+        op = _derived_rack(sol)
+        assert _is_rack(op), sol
+        assert all(_relabeled(op, row) == op for row in sol.sigma), sol
+        assert derived.right_table(op, sol.sigma) == sol.tau, sol
+        count += 1
+    assert count == {1: 1, 2: 4, 3: 66, 4: 1800}[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rack_route_equals_the_watch_list_stream(n):
+    # every labeled rack with every head row gives the whole nd population
+    found = []
+    for rack in derived.labeled_racks(n):
+        group = [pi for pi in permutations(range(n)) if _relabeled(rack, pi) == rack]
+        sols = list(derived.solutions(rack, group, group))
+        assert all(_derived_rack(sol) == rack for sol in sols)
+        found.extend(sols)
+    found.sort(key=lambda sol: (sol.sigma, sol.tau))
+    assert found == list(enumerate_solutions(n, EnumFilter(require_nd=True)))
+
+
+def test_solutions_keep_only_validated_pairs(monkeypatch):
+    rack, automorphisms = derived.rack_classes(3)[0]
+    assert list(derived.solutions(rack, automorphisms, automorphisms))
+    monkeypatch.setattr(derived, "validate_braid", lambda sol: [(0, 0, 0)])
+    assert list(derived.solutions(rack, automorphisms, automorphisms)) == []
+
+
+def test_solutions_keep_only_right_permutation_rows(monkeypatch):
+    rack, automorphisms = derived.rack_classes(3)[0]
+    monkeypatch.setattr(derived, "right_nondegenerate", lambda sol: False)
+    assert list(derived.solutions(rack, automorphisms, automorphisms)) == []

@@ -22,7 +22,7 @@ from yangbaxter import (
     validate_braid,
 )
 from yangbaxter.core import FiniteSolution
-from yangbaxter import search
+from yangbaxter import derived, search
 from yangbaxter.fixtures import left_only3
 from yangbaxter.search import FROZEN_CELLS, CensusResult
 
@@ -248,7 +248,8 @@ def test_all_frozen_cells_reproduce():
         assert check_frozen_census(n, filt, result) is None, (n, sig, result)
 
 
-@pytest.mark.parametrize("n, sig", list(FROZEN_CELLS) + [(4, "nd")])
+# the n = 4 cells check the rack route against the watch-list stream
+@pytest.mark.parametrize("n, sig", FROZEN_CELLS)
 def test_census_iso_counts_canonical_forms(n, sig):
     filt = EnumFilter.from_signature(sig)
     stream = list(enumerate_solutions(n, filt))
@@ -270,8 +271,8 @@ def _conjugate_head(head, pi):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_head_orbits_partition_the_rows(n, perms_only):
     fixing = [pi for pi in permutations(range(n)) if pi[0] == 0]
-    orbits = search._head_orbits(n, perms_only)
     rows = search._row_options(n, perms_only)
+    orbits = search._head_orbits(rows, permutations(range(n)))
     covered = []
     for rep, size in orbits:
         orbit = {_conjugate_head(rep, pi) for pi in fixing}
@@ -298,8 +299,9 @@ def test_head_counts_are_constant_on_orbits_n3(sig):
 
 def test_census_marks_only_relabelings_onto_representative_heads(monkeypatch):
     # no solution with another head row comes up in the searched stream
-    filt = EnumFilter(require_nd=True)
-    reps = {rep for rep, _ in search._head_orbits(3, True)}
+    filt = EnumFilter(require_left_nd=True)
+    rows = search._row_options(3, True)
+    reps = {rep for rep, _ in search._head_orbits(rows, permutations(range(3)))}
     heads = []
     relabeled_tables = search._relabeled_tables
 
@@ -309,8 +311,45 @@ def test_census_marks_only_relabelings_onto_representative_heads(monkeypatch):
         return tables
 
     monkeypatch.setattr(search, "_relabeled_tables", recording)
-    assert census(3, filt) == CensusResult(raw=66, iso=26)
-    assert heads and set(heads) <= reps < set(search._row_options(3, True))
+    assert census(3, filt) == CensusResult(raw=354, iso=90)
+    assert len(reps) == 4
+    assert heads and set(heads) <= reps < set(rows)
+
+
+def _derived_rack(sol):
+    """The table op[y][x] = sigma_y(tau_{sigma_x^-1(y)}(x)) of a left
+    non-degenerate solution."""
+    n = sol.n
+    sinv = [search.perm_inverse(row) for row in sol.sigma]
+    return tuple(
+        tuple(sol.sigma[y][sol.tau[sinv[x][y]][x]] for x in range(n)) for y in range(n)
+    )
+
+
+@pytest.mark.parametrize("n, iso", [(3, 26), (4, 253)])
+def test_rack_census_marks_only_automorphisms_onto_representative_heads(n, iso, monkeypatch):
+    # each relabeling that marks a solution over a class's least rack R lies
+    # in Aut(R) and gives a representative head of R's orbits
+    classes = {}
+    for rack, automorphisms in derived.rack_classes(n):
+        reps = {rep for rep, _ in search._head_orbits(automorphisms, automorphisms)}
+        classes[rack] = (set(automorphisms), reps)
+    marks = []
+    relabeled_tables = search._relabeled_tables
+
+    def recording(sol, pi):
+        tables = relabeled_tables(sol, pi)
+        marks.append((_derived_rack(sol), pi, tables[0][0]))
+        return tables
+
+    monkeypatch.setattr(search, "_relabeled_tables", recording)
+    assert census(n, EnumFilter(require_nd=True)).iso == iso
+    assert marks
+    for rack, pi, head in marks:
+        automorphisms, reps = classes[rack]
+        assert pi in automorphisms and head in reps, (rack, pi, head)
+    # the heads searched are fewer than Aut(R) for some rack
+    assert any(reps < automorphisms for automorphisms, reps in classes.values())
 
 
 def test_worker_count_does_not_change_stream():
@@ -363,13 +402,26 @@ def test_census_pool_is_sized_by_representative_heads(pool_sizes, monkeypatch):
         return worker(task)
 
     monkeypatch.setattr(search, "_worker", recording)
-    filt = EnumFilter(require_nd=True)
-    # the 24 head rows at n = 4 fall into 7 orbits, one task per orbit
-    assert census(4, filt, workers=2) == CensusResult(raw=1800, iso=253)
-    assert heads == [rep for rep, _ in search._head_orbits(4, True)] and len(heads) == 7
-    # the 6 at n = 3 fall into 4, and the pool is clamped to the tasks
-    assert census(3, filt, workers=10**6) == CensusResult(raw=66, iso=26)
-    assert pool_sizes == [2, 4]
+    filt = EnumFilter(require_left_nd=True)
+    # the 6 head rows at n = 3 fall into 4 orbits, one task per orbit
+    assert census(3, filt, workers=3) == CensusResult(raw=354, iso=90)
+    orbits = search._head_orbits(search._row_options(3, True), permutations(range(3)))
+    assert heads == [rep for rep, _ in orbits] and len(heads) == 4
+    # the 2 at n = 2 fall into 2, and the pool is clamped to the tasks
+    assert census(2, filt, workers=10**6) == CensusResult(raw=14, iso=10)
+    assert pool_sizes == [3, 2]
+
+
+def test_rack_census_starts_no_pool(pool_sizes):
+    # permutation rows on both sides are counted through derived racks, in
+    # this process, at any worker count
+    for sig in ("nd", "left_nd+right_nd", "nd+involutive"):
+        filt = EnumFilter.from_signature(sig)
+        assert census(3, filt, workers=4) == census(3, filt, workers=1)
+        assert list(enumerate_solutions(3, replace(filt, up_to_iso=True), workers=4)) == list(
+            enumerate_solutions(3, replace(filt, up_to_iso=True))
+        )
+    assert pool_sizes == []
 
 
 def test_size_limits(monkeypatch):

@@ -1,8 +1,12 @@
-"""Regenerate the frozen census regression file from the unpruned oracle.
+"""Regenerate the frozen census regression file from routes that production
+does not use for the cell.
 
-Every count in data/census_frozen.txt must come from this script, never from
-the production search: the regression test then proves the pruned search
-reproduces oracle truth on every run.
+The two-sided non-degenerate cells at n = 4 come from the watch-list stream
+(``enumerate_solutions`` without ``up_to_iso``) with one ``canonical_form``
+per solution, because production counts those cells through derived racks.
+Every other cell comes from the unpruned oracle.  Never take a count from
+``census`` itself: the regression test then proves the production count
+reproduces an independent route on every run.
 
 Run from the repository root:  python3 tools/gen_frozen_census.py
 """
@@ -13,14 +17,23 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from yangbaxter.core import canonical_form
 from yangbaxter.search import (
     FROZEN_CELLS,
+    CensusResult,
     EnumFilter,
+    enumerate_solutions,
     format_frozen_census,
     oracle_census,
 )
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "yangbaxter" / "data" / "census_frozen.txt"
+WATCH_LIST_CELLS = {(4, "nd"), (4, "nd+involutive"), (4, "nd+square_free")}
+
+
+def watch_list_census(n, filt):
+    sols = list(enumerate_solutions(n, filt))
+    return CensusResult(raw=len(sols), iso=len({canonical_form(sol) for sol in sols}))
 
 
 def main():
@@ -28,8 +41,9 @@ def main():
     for n, sig in FROZEN_CELLS:
         t0 = time.time()
         filt = EnumFilter.from_signature(sig)
-        counts[(n, sig)] = oracle_census(n, filt)
-        print(f"n={n} {sig}: {counts[(n, sig)]} ({time.time() - t0:.1f}s)")
+        route = watch_list_census if (n, sig) in WATCH_LIST_CELLS else oracle_census
+        counts[(n, sig)] = route(n, filt)
+        print(f"n={n} {sig}: {counts[(n, sig)]} from {route.__name__} ({time.time() - t0:.1f}s)")
     OUT.write_text(format_frozen_census(counts))
     print("wrote", OUT)
 
