@@ -2,8 +2,10 @@
 
 The production search fills the left table, then forces the right table cell
 by cell against the braid identities.  An unpruned full-scan oracle checks
-the same populations independently; counts frozen from the oracle ship with
-the package and every run must reproduce them bit-exactly.
+the same populations independently.  Census counts of non-degenerate filters
+come from derived racks; counts frozen from routes independent of the census
+(the oracle, and at n = 4 the cell-by-cell search) ship with the package and
+every run must reproduce them bit-exactly.
 """
 
 from collections import Counter

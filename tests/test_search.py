@@ -316,16 +316,6 @@ def test_census_marks_only_relabelings_onto_representative_heads(monkeypatch):
     assert heads and set(heads) <= reps < set(rows)
 
 
-def _derived_rack(sol):
-    """The table op[y][x] = sigma_y(tau_{sigma_x^-1(y)}(x)) of a left
-    non-degenerate solution."""
-    n = sol.n
-    sinv = [search.perm_inverse(row) for row in sol.sigma]
-    return tuple(
-        tuple(sol.sigma[y][sol.tau[sinv[x][y]][x]] for x in range(n)) for y in range(n)
-    )
-
-
 @pytest.mark.parametrize("n, iso", [(3, 26), (4, 253)])
 def test_rack_census_marks_only_automorphisms_onto_representative_heads(n, iso, monkeypatch):
     # each relabeling that marks a solution over a class's least rack R lies
@@ -334,14 +324,20 @@ def test_rack_census_marks_only_automorphisms_onto_representative_heads(n, iso, 
     for rack, automorphisms in derived.rack_classes(n):
         reps = {rep for rep, _ in search._head_orbits(automorphisms, automorphisms)}
         classes[rack] = (set(automorphisms), reps)
-    marks = []
-    relabeled_tables = search._relabeled_tables
+    racks, marks = {}, []
+    rack_solutions, relabeled_tables = search.rack_solutions, search._relabeled_tables
+
+    def tagging(rack, automorphisms, heads):
+        for sol in rack_solutions(rack, automorphisms, heads):
+            racks[sol] = rack
+            yield sol
 
     def recording(sol, pi):
         tables = relabeled_tables(sol, pi)
-        marks.append((_derived_rack(sol), pi, tables[0][0]))
+        marks.append((racks[sol], pi, tables[0][0]))
         return tables
 
+    monkeypatch.setattr(search, "rack_solutions", tagging)
     monkeypatch.setattr(search, "_relabeled_tables", recording)
     assert census(n, EnumFilter(require_nd=True)).iso == iso
     assert marks
