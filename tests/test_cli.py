@@ -39,6 +39,10 @@ GATE = {
         (0,), "be398041949d2bf9a16ba662e1e9b9d0f4dc49fd302acca0ae55f84333c31556"),
     "suite n-max 3": (
         (0,), "5e5c238f7d8e12b9e822016701c467edb9032f0afdd40b2603267811a56188c5"),
+    "suite n-max 4": (
+        (0,), "0d15621ac67b9c8401881d013bc4cfec9c437184705bf112f3bc719d3126dad6"),
+    "analyze nd n=3 omega-identities": (
+        (0,) * 66, "4fad4ff0278a153024919519cef265d30bdd9f814dc579f478587610a5e74a06"),
     "enumerate 3 left-nd": (
         (0,), "b63d62d7f2de3c8333b4f9f4e53d5da8642051714d7f83cc676066f3a1c06142"),
     "analyze non-ASCII labels": (
@@ -426,6 +430,10 @@ def test_stdout_bytes_and_exit_codes_are_pinned(tmp_path, capsys):
         "validate fixtures": [["validate", p, "--json"] for p in fixtures],
         "suite n-max 2": [["suite", "--n-max", "2", "--json"]],
         "suite n-max 3": [["suite", "--n-max", "3", "--json"]],
+        "suite n-max 4": [["suite", "--n-max", "4", "--json"]],
+        "analyze nd n=3 omega-identities": [
+            ["analyze", p, "--omega-identities", "--max-k", "3", "--json"] for p in nd3
+        ],
         "enumerate 3 left-nd": [["enumerate", "3", "--left-nd"]],
         "analyze non-ASCII labels": [
             ["analyze", p, *ANALYZE_FLAGS, "--omega-identities"] for p in labelled
