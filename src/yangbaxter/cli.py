@@ -21,8 +21,7 @@ from .errors import DomainError, InputError
 from .omega import (
     check_omega_identities,
     check_star_conditions,
-    permutational_levels,
-    reductive_levels,
+    tower_verdicts,
 )
 from .orbits import orbit_decomposition
 from .qcycle import from_solution, is_regular, qcycle_diagonals, to_solution, validate_qcycle
@@ -174,16 +173,19 @@ def cmd_analyze(args):
         report["mpl"] = retract_levels(sol, tower)[0] if tower else mpl(sol)
     if args.mpl_prime:
         report["mpl_prime"] = retract_levels(sol, tower)[1] if tower else mpl_prime(sol)
-    if args.kperm:
-        report["k_permutational"] = {
-            k: {"holds": ok, "witness": witness}
-            for k, (ok, witness) in permutational_levels(sol, args.max_k).items()
-        }
-    if args.kred:
-        report["k_reductive"] = {
-            k: {"holds": ok, "witness": witness}
-            for k, (ok, witness) in reductive_levels(sol, args.max_k).items()
-        }
+    if args.kperm or args.kred:
+        # one build of the tower maps decides both; bounds -1 and 0 ask for no heights
+        perm, red = tower_verdicts(
+            sol, args.max_k if args.kperm else -1, args.max_k if args.kred else 0
+        )
+        if args.kperm:
+            report["k_permutational"] = {
+                k: {"holds": ok, "witness": witness} for k, (ok, witness) in perm.items()
+            }
+        if args.kred:
+            report["k_reductive"] = {
+                k: {"holds": ok, "witness": witness} for k, (ok, witness) in red.items()
+            }
     if args.star:
         ok, sigma_fixers, tau_fixers = check_star_conditions(sol)
         report["star_conditions"] = {

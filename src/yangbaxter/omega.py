@@ -15,7 +15,8 @@ height-(k-1) maps.  Both properties are decided on these sets, which makes
 every verdict exact for any n and k; a failing map is traced back to one word
 and argument list that witness it.  permutational_levels and
 reductive_levels read the verdicts of every height up to a bound from one
-build; is_k_permutational and is_k_reductive are their one-height views.
+build, and tower_verdicts reads both from one build; is_k_permutational and
+is_k_reductive are their one-height views.
 """
 
 from itertools import product
@@ -171,18 +172,21 @@ def _permutational_witness(levels, k):
     return None
 
 
+def _permutational_verdicts(levels, k_max):
+    verdicts = {}
+    for k in range(k_max + 1):
+        witness = _permutational_witness(levels, k)
+        verdicts[k] = (witness is None, witness)
+    return verdicts
+
+
 def permutational_levels(sol, k_max, alphabet=DEFAULT_ALPHABET):
     """is_k_permutational for every k = 0..k_max, from one build of the
     tower maps over the alphabet: {k: (holds, witness)}."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     tables = action_tables(sol, set(alphabet))
-    levels = _tower_levels(tables, alphabet, sol.n, k_max)
-    verdicts = {}
-    for k in range(k_max + 1):
-        witness = _permutational_witness(levels, k)
-        verdicts[k] = (witness is None, witness)
-    return verdicts
+    return _permutational_verdicts(_tower_levels(tables, alphabet, sol.n, k_max), k_max)
 
 
 def is_k_permutational(sol, k, alphabet=DEFAULT_ALPHABET):
@@ -217,17 +221,30 @@ def _first_step_failures(tables, levels, h, first_symbols):
                     yield (s,) + word, x, (z,) + zs
 
 
-def reductive_levels(sol, k_max):
-    """is_k_reductive for every k = 1..k_max, from one build of the
-    {sigma, tau} tower maps up to height k_max - 1: {k: (holds, witness)},
-    empty when k_max < 1."""
-    tables = action_tables(sol, set(DEFAULT_ALPHABET))
-    levels = _tower_levels(tables, DEFAULT_ALPHABET, sol.n, k_max - 1)
+def _reductive_verdicts(tables, levels, k_max):
     verdicts = {}
     for k in range(1, k_max + 1):
         witness = next(_first_step_failures(tables, levels, k - 1, {SIGMA: SIGMA, TAU: TAU}), None)
         verdicts[k] = (witness is None, witness)
     return verdicts
+
+
+def reductive_levels(sol, k_max):
+    """is_k_reductive for every k = 1..k_max, from one build of the
+    {sigma, tau} tower maps up to height k_max - 1: {k: (holds, witness)},
+    empty when k_max < 1."""
+    return tower_verdicts(sol, -1, k_max)[1]
+
+
+def tower_verdicts(sol, k_perm_max, k_red_max):
+    """permutational_levels over {sigma, tau} up to k_perm_max and
+    reductive_levels up to k_red_max, from one build of the tower maps up to
+    the greater height either needs; a map is empty when its bound is below
+    its first height.  The maps of a height do not depend on how far the
+    build goes, so each verdict and witness is the one-height decider's."""
+    tables = action_tables(sol, set(DEFAULT_ALPHABET))
+    levels = _tower_levels(tables, DEFAULT_ALPHABET, sol.n, max(k_perm_max, k_red_max - 1))
+    return _permutational_verdicts(levels, k_perm_max), _reductive_verdicts(tables, levels, k_red_max)
 
 
 def is_k_reductive(sol, k):
@@ -259,29 +276,41 @@ def check_star_conditions(sol):
     return ok, tuple(sigma_fixers), tuple(tau_fixers)
 
 
-def _closed_form(sol, k, reductive, symbol):
+def _closed_form(sol, height, symbol):
+    """For each x, the height-fold tower of the symbol's family started at x
+    and fed x at every step."""
     tables = action_tables(sol, (symbol,))
-    if reductive:
-        ok, witness = is_k_reductive(sol, k)
-        if not ok:
-            raise NotKReductive(f"solution is not {k}-reductive", witness=witness)
-        height = k - 1
-    else:
-        ok, witness = is_k_permutational(sol, k)
-        if not ok:
-            raise NotKPermutational(f"solution is not level-{k} permutational", witness=witness)
-        height = k
     word = (symbol,) * height
     return tuple(_eval(tables, word, x, (x,) * height) for x in range(sol.n))
 
 
-def _check_inverts(table, diagonal, name):
-    """Raise ClosedFormMismatch, with the failing points as witness, unless
-    table inverts the diagonal map on both sides."""
-    bad = [x for x in range(len(diagonal)) if table[diagonal[x]] != x or diagonal[table[x]] != x]
+def closed_form_inverse(sol, height, symbol):
+    """The closed form of the given height through SIGMA or TAU, checked to
+    invert that family's diagonal (U or T) on both sides.  It is the inverse
+    on a level-height permutational or (height+1)-reductive solution that is
+    non-degenerate on that side; the caller holds that verdict.  Raises
+    ClosedFormMismatch, with the failing points as witness, otherwise."""
+    table = _closed_form(sol, height, symbol)
+    rows, name = {SIGMA: (sol.sigma, "U"), TAU: (sol.tau, "T")}[symbol]
+    diagonal = tuple(rows[x].index(x) for x in range(sol.n))
+    bad = [x for x in range(sol.n) if table[diagonal[x]] != x or diagonal[table[x]] != x]
     if bad:
         raise ClosedFormMismatch(f"closed form does not invert {name}", witness=bad)
     return table
+
+
+def _closed_form_height(sol, k, reductive):
+    """The tower height of the closed form at k, once the verdict it rests on
+    is decided."""
+    if reductive:
+        ok, witness = is_k_reductive(sol, k)
+        if not ok:
+            raise NotKReductive(f"solution is not {k}-reductive", witness=witness)
+        return k - 1
+    ok, witness = is_k_permutational(sol, k)
+    if not ok:
+        raise NotKPermutational(f"solution is not level-{k} permutational", witness=witness)
+    return k
 
 
 def closed_form_U_inverse(sol, k, reductive=False):
@@ -290,18 +319,14 @@ def closed_form_U_inverse(sol, k, reductive=False):
     Raises ClosedFormMismatch unless the result inverts U on both sides."""
     if not left_nondegenerate(sol):
         raise NotLeftNondegenerate("U is only defined for left non-degenerate solutions")
-    table = _closed_form(sol, k, reductive, SIGMA)
-    U = tuple(sol.sigma[x].index(x) for x in range(sol.n))
-    return _check_inverts(table, U, "U")
+    return closed_form_inverse(sol, _closed_form_height(sol, k, reductive), SIGMA)
 
 
 def closed_form_T_inverse(sol, k, reductive=False):
     """Dual closed form for T inverse, through the right translation family."""
     if not right_nondegenerate(sol):
         raise NotRightNondegenerate("T is only defined for right non-degenerate solutions")
-    table = _closed_form(sol, k, reductive, TAU)
-    T = tuple(sol.tau[x].index(x) for x in range(sol.n))
-    return _check_inverts(table, T, "T")
+    return closed_form_inverse(sol, _closed_form_height(sol, k, reductive), TAU)
 
 
 def check_omega_identities(sol, max_m, seed=0, symbols=None):
@@ -320,14 +345,16 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
                    forgets both its base and its first argument.
 
     The first two compare the composed tower maps with the scalar fold and
-    with each other; the last three evaluate the scalar fold, once per
-    distinct tower map, so every case is covered.  They hold for every
-    solution (drop_base for permutational levels only), so any reported
-    failure is an implementation bug, not a property of the input.  symbols
-    restricts the tower alphabet; by default every symbol the solution
-    supports is used.  seed has no effect and is echoed in the report.
-    Returns a dict of per-identity results with checked counts and failure
-    witnesses.
+    with each other; inverse_seed evaluates the scalar fold from every base.
+    inverse_shift and drop_base fold the tower behind the first step once
+    per distinct tower map and start value, and read each case, whatever its
+    first step and base, from that fold, so every case is covered.  They
+    hold for every solution (drop_base for permutational levels only), so
+    any reported failure is an implementation bug, not a property of the
+    input.  symbols restricts the tower alphabet; by default every symbol
+    the solution supports is used.  seed has no effect and is echoed in the
+    report.  Returns a dict of per-identity results with checked counts and
+    failure witnesses.
     """
     n = sol.n
     carrier = range(n)
@@ -340,6 +367,15 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
     invertible = tuple(s for s in usable if INVERSE_OF[s] in tables)
     levels = _tower_levels(tables, usable, n, max_m)
     report = {"seed": seed}
+    # The tower (g,) + rest fed (a,) + zs from x is the tower rest fed zs from
+    # tables[g][x][a], so inverse_shift and drop_base read rhs, the fold of
+    # rest from every start value, at the value the first step reaches.  An
+    # inverse-seeded first step that sends z1 back to z1 cannot fail.
+    moved = []
+    for g, x, z1 in product(invertible, carrier, carrier):
+        w = tables[g][x][tables[INVERSE_OF[g]][x][z1]]
+        if w != z1:
+            moved.append((g, x, z1, w))
 
     def record(name, checked, failures):
         report[name] = {"checked": checked, "mode": "exhaustive", "failures": failures}
@@ -377,12 +413,10 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
         failures = []
         for f in shorter:
             rest, zs = _tower_path(levels, m - 1, f)
-            # the right side does not depend on the step g or on x
-            rhs = [_eval(tables, rest, z1, zs) for z1 in carrier]
-            for g, x, z1 in product(invertible, carrier, carrier):
-                lhs = _eval(tables, (g,) + rest, x, (tables[INVERSE_OF[g]][x][z1],) + zs)
-                if lhs != rhs[z1]:
-                    failures.append((g, rest, x, z1, zs))
+            rhs = [_eval(tables, rest, v, zs) for v in carrier]
+            failures.extend(
+                (g, rest, x, z1, zs) for g, x, z1, w in moved if rhs[w] != rhs[z1]
+            )
         record(f"inverse_shift_m{m}", len(invertible) * len(shorter) * n * n, failures)
 
     # one build of the {sigma, tau} maps decides the level and feeds drop_base
@@ -395,21 +429,35 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
             failures = []
             for f in levels[k]:
                 rest, zs = _tower_path(levels, k, f)
-                # the right side does not depend on (s, x, z1), the left side not on y
                 rhs = [_eval(tables, rest, y, zs) for y in carrier]
+                if rhs.count(rhs[0]) == n:
+                    continue  # every lhs is a value of rhs, so it equals every rhs[y]
                 for s, x, z1 in product(DEFAULT_ALPHABET, carrier, carrier):
-                    word = (s,) + rest
-                    lhs = _eval(tables, word, x, (z1,) + zs)
-                    failures.extend((word, x, y, (z1,) + zs) for y in carrier if lhs != rhs[y])
+                    lhs = rhs[tables[s][x][z1]]
+                    failures.extend(
+                        ((s,) + rest, x, y, (z1,) + zs) for y in carrier if lhs != rhs[y]
+                    )
             record(f"drop_base_k{k}", len(levels[k]) * len(DEFAULT_ALPHABET) * n**3, failures)
     return report
+
+
+def reductive_inverse_start_levels(sol, ks):
+    """check_reductive_inverse_start for each k in ks, from one build of the
+    {sigma, tau} tower maps up to height max(ks) - 1: {k: failures}."""
+    if any(k < 1 for k in ks):
+        raise ValueError("k must be >= 1")
+    if not ks:
+        return {}
+    tables = action_tables(sol, set(DEFAULT_ALPHABET) | {SIGMA_INV, TAU_INV})
+    levels = _tower_levels(tables, DEFAULT_ALPHABET, sol.n, max(ks) - 1)
+    inverses = {SIGMA: SIGMA_INV, TAU: TAU_INV}
+    return {k: list(_first_step_failures(tables, levels, k - 1, inverses)) for k in ks}
 
 
 def check_reductive_inverse_start(sol, k):
     """Derived identity of k-reductive solutions: replacing the first step by
     the inverse of any first family still collapses to the height-(k-1) tower.
     Needs non-degeneracy to evaluate the inverse families.  Returns the
-    failing (word, x, zs) of every distinct height-(k-1) tower map."""
-    tables = action_tables(sol, set(DEFAULT_ALPHABET) | {SIGMA_INV, TAU_INV})
-    levels = _tower_levels(tables, DEFAULT_ALPHABET, sol.n, k - 1)
-    return list(_first_step_failures(tables, levels, k - 1, {SIGMA: SIGMA_INV, TAU: TAU_INV}))
+    failing (word, x, zs) of every distinct height-(k-1) tower map.  Raises
+    ValueError when k < 1."""
+    return reductive_inverse_start_levels(sol, (k,))[k]

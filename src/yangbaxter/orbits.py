@@ -12,7 +12,7 @@ from itertools import product
 
 from .core import FiniteSolution, require_nondegenerate
 from .errors import NotKReductive
-from .omega import DEFAULT_ALPHABET, is_k_permutational, is_k_reductive
+from .omega import is_k_reductive, permutational_levels
 from .retract import Partition
 
 
@@ -69,6 +69,22 @@ def is_decomposable(sol):
     return orbit_decomposition(sol).decomposable
 
 
+def orbit_theorem_levels(decomposition, k_max):
+    """For every k = 1..k_max, the orbits of the decomposition whose
+    restriction does not collapse towers of height k-1, with witnesses, from
+    one build of each orbit's tower maps: {k: failures}.  The orbit theorem
+    says the list is empty at every k the solution is k-reductive."""
+    verdicts = [permutational_levels(sub.solution, k_max - 1) for sub in decomposition.suborbits]
+    return {
+        k: [
+            (sub.elements, levels[k - 1][1])
+            for sub, levels in zip(decomposition.suborbits, verdicts)
+            if not levels[k - 1][0]
+        ]
+        for k in range(1, k_max + 1)
+    }
+
+
 def check_orbit_theorem(sol, k):
     """Every orbit of a non-degenerate k-reductive solution collapses towers
     of height k-1: returns the list of orbits whose restriction fails, with
@@ -76,9 +92,4 @@ def check_orbit_theorem(sol, k):
     ok, witness = is_k_reductive(sol, k)
     if not ok:
         raise NotKReductive(f"solution is not {k}-reductive", witness=witness)
-    failures = []
-    for sub in orbit_decomposition(sol).suborbits:
-        sub_ok, sub_witness = is_k_permutational(sub.solution, k - 1, DEFAULT_ALPHABET)
-        if not sub_ok:
-            failures.append((sub.elements, sub_witness))
-    return failures
+    return orbit_theorem_levels(orbit_decomposition(sol), k)[k]

@@ -39,14 +39,14 @@ from .omega import (
     TAU_HAT,
     TAU_INV,
     check_omega_identities,
-    check_reductive_inverse_start,
     check_star_conditions,
-    closed_form_T_inverse,
-    closed_form_U_inverse,
+    closed_form_inverse,
     permutational_levels,
+    reductive_inverse_start_levels,
     reductive_levels,
+    tower_verdicts,
 )
-from .orbits import check_orbit_theorem, is_decomposable
+from .orbits import orbit_decomposition, orbit_theorem_levels
 from .qcycle import (
     check_qcycle_correspondence,
     from_solution,
@@ -122,8 +122,9 @@ def _check_universal(sol, report, props):
     bad.extend(_payload(sol, ("routes disagree", v)) for v in check_braid_routes(sol))
     report.record("braid_routes_agree", bad)
 
-    red = {k: holds for k, (holds, _) in reductive_levels(sol, K_RED_MAX).items()}
-    perm = {k: holds for k, (holds, _) in permutational_levels(sol, K_PERM_MAX).items()}
+    perm_levels, red_levels = tower_verdicts(sol, K_PERM_MAX, K_RED_MAX)
+    perm = {k: holds for k, (holds, _) in perm_levels.items()}
+    red = {k: holds for k, (holds, _) in red_levels.items()}
 
     bad = [k for k in range(1, K_PERM_MAX + 1) if red[k] and not perm[k]]
     report.record("reductive_implies_permutational", [_payload(sol, k) for k in bad])
@@ -152,7 +153,7 @@ def _check_universal(sol, report, props):
             failures.append(_payload(sol, (name, result["failures"][:3])))
     report.record("omega_rewriting_identities", failures)
 
-    return red, perm
+    return red, perm, star_ok
 
 
 def _check_bijective(sol, report, props):
@@ -283,7 +284,7 @@ def _check_diagonals(sol, report, props):
     return d
 
 
-def _check_nondegenerate(sol, report, props, red, perm):
+def _check_nondegenerate(sol, report, props, red, perm, star_ok):
     d = _check_diagonals(sol, report, props)
 
     # degenerate distributive counterexamples exist, so scope this to the
@@ -372,26 +373,25 @@ def _check_nondegenerate(sol, report, props, red, perm):
             bad.append(_payload(sol, (level, level_prime)))
     report.record("mpl_prime_bounds", bad)
 
-    bad = []
-    for k in range(1, K_RED_MAX + 1):
-        if red[k] and check_reductive_inverse_start(sol, k):
-            bad.append(_payload(sol, k))
-    report.record("reductive_inverse_start_identity", bad)
+    reductive = [k for k in range(1, K_RED_MAX + 1) if red[k]]
+    inverse_start = reductive_inverse_start_levels(sol, reductive)
+    report.record(
+        "reductive_inverse_start_identity", [_payload(sol, k) for k in reductive if inverse_start[k]]
+    )
 
-    bad = []
-    for k in range(1, K_RED_MAX + 1):
-        if red[k]:
-            failures = check_orbit_theorem(sol, k)
-            bad.extend(_payload(sol, (k, f)) for f in failures)
-    report.record("orbits_of_reductive_are_permutational", bad)
+    decomposition = orbit_decomposition(sol)
+    orbit_failures = orbit_theorem_levels(decomposition, reductive[-1]) if reductive else {}
+    report.record(
+        "orbits_of_reductive_are_permutational",
+        [_payload(sol, (k, f)) for k in reductive for f in orbit_failures[k]],
+    )
 
-    decomposable = is_decomposable(sol) if sol.n > 1 else None
+    decomposable = decomposition.decomposable if sol.n > 1 else None
     bad = []
     if sol.n > 1 and props.square_free and level is not None and not decomposable:
         bad.append(_payload(sol, ("square_free", level)))
     report.record("square_free_multipermutation_decomposable", bad)
 
-    star_ok, _, _ = check_star_conditions(sol)
     bad = []
     if sol.n > 1 and star_ok and level is not None and not decomposable:
         bad.append(_payload(sol, ("star", level)))
@@ -403,18 +403,21 @@ def _check_nondegenerate(sol, report, props, red, perm):
             bad.append(_payload(sol, ("exact_level", level)))
     report.record("reductive_exact_level_decomposable", bad)
 
+    # each closed form rests on a verdict already held: level-`level`
+    # permutational (the multipermutation entry reports a level without it)
+    # or first_red-reductive
     bad = []
-    if level is not None and level <= K_PERM_MAX:
+    if level is not None and level <= K_PERM_MAX and perm[level]:
         try:
-            closed_form_U_inverse(sol, level)
-            closed_form_T_inverse(sol, level)
+            closed_form_inverse(sol, level, SIGMA)
+            closed_form_inverse(sol, level, TAU)
         except ClosedFormMismatch as exc:
             bad.append(_payload(sol, ("permutational_form", level, exc.witness)))
-    first_red = next((k for k in range(1, K_RED_MAX + 1) if red[k]), None)
-    if first_red is not None:
+    if reductive:
+        first_red = reductive[0]
         try:
-            closed_form_U_inverse(sol, first_red, reductive=True)
-            closed_form_T_inverse(sol, first_red, reductive=True)
+            closed_form_inverse(sol, first_red - 1, SIGMA)
+            closed_form_inverse(sol, first_red - 1, TAU)
         except ClosedFormMismatch as exc:
             bad.append(_payload(sol, ("reductive_form", first_red, exc.witness)))
     report.record("closed_form_diagonal_inverses", bad)
@@ -438,13 +441,13 @@ def theorem_suite(n_max, workers=1):
         for sol in enumerate_solutions(n, filt, workers=workers):
             count += 1
             props = properties(sol)
-            red, perm = _check_universal(sol, report, props)
+            red, perm, star_ok = _check_universal(sol, report, props)
             if props.bijective:
                 _check_bijective(sol, report, props)
             if props.left_nondegenerate:
                 _check_left_nd(sol, report, props)
             if props.nondegenerate:
-                _check_nondegenerate(sol, report, props, red, perm)
+                _check_nondegenerate(sol, report, props, red, perm, star_ok)
         report.populations[n] = {"filter": filt.signature(), "count": count}
     if n_max >= 4:
         filt = EnumFilter(require_nd=True)

@@ -20,6 +20,7 @@ from yangbaxter import (
     permutational_levels,
     reductive_levels,
 )
+from yangbaxter.core import left_nondegenerate, right_nondegenerate
 from yangbaxter.fixtures import (
     derived2,
     left_only3,
@@ -40,6 +41,8 @@ from yangbaxter.omega import (
     TAU_INV,
     action_tables,
     check_reductive_inverse_start,
+    reductive_inverse_start_levels,
+    tower_verdicts,
 )
 
 
@@ -223,6 +226,15 @@ def test_reductive_inverse_start_identity():
     assert check_reductive_inverse_start(projection(2), 1) == []
 
 
+@pytest.mark.parametrize("k", [0, -2])
+def test_reductive_inverse_start_below_1_raises(k):
+    # k = 0 once read levels[-1] and reported made-up failures; k = -2 raised IndexError
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        check_reductive_inverse_start(lyubashenko3(), k)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        reductive_inverse_start_levels(lyubashenko3(), (1, k))
+
+
 def test_default_alphabet_is_sigma_tau():
     assert DEFAULT_ALPHABET == (SIGMA, TAU)
     assert SIGMA_INV == "sigma_inv"
@@ -392,6 +404,13 @@ def test_all_levels_deciders_match_per_height_reference():
         assert reductive_levels(sol, K_LEVELS) == expected, sol
         for k in range(1, K_LEVELS + 1):
             assert is_k_reductive(sol, k) == expected[k]
+        # one build for both, to the greater height either bound needs
+        perm = {k: _reference_permutational(sol, k, DEFAULT_ALPHABET) for k in range(K_LEVELS + 1)}
+        for k_perm, k_red in ((K_LEVELS, K_LEVELS), (K_LEVELS - 1, K_LEVELS), (2, 1), (-1, 0)):
+            assert tower_verdicts(sol, k_perm, k_red) == (
+                {k: perm[k] for k in range(k_perm + 1)},
+                {k: expected[k] for k in range(1, k_red + 1)},
+            ), (sol, k_perm, k_red)
     # every alphabet is exercised, the hatted one on the bijective solutions
     assert covered[DEFAULT_ALPHABET] == len(sols)
     assert covered[FULL_ALPHABET] > 60 and covered[(SIGMA_INV, SIGMA_HAT_INV)] > 60
@@ -411,14 +430,162 @@ def test_all_levels_deciders_bounds():
 def test_reductive_inverse_start_matches_per_height_reference():
     checked = 0
     for sol in _level_solutions():
+        expected = {}
         for k in range(1, K_LEVELS + 1):
             try:
-                expected = _reference_first_step_failures(sol, k, {SIGMA: SIGMA_INV, TAU: TAU_INV})
+                expected[k] = _reference_first_step_failures(sol, k, {SIGMA: SIGMA_INV, TAU: TAU_INV})
             except SymbolUnavailable:
                 with pytest.raises(SymbolUnavailable):
                     check_reductive_inverse_start(sol, k)
                 continue
-            assert check_reductive_inverse_start(sol, k) == expected, (sol, k)
-            checked += bool(expected)
+            assert check_reductive_inverse_start(sol, k) == expected[k], (sol, k)
+            checked += bool(expected[k])
+        if expected:
+            # every height from one build, and any subset of the heights
+            assert reductive_inverse_start_levels(sol, range(1, K_LEVELS + 1)) == expected, sol
+            assert reductive_inverse_start_levels(sol, (3, 1)) == {3: expected[3], 1: expected[1]}
     # failures are compared too, not only empty lists
     assert checked > 0
+
+
+# Scalar-fold reference for check_omega_identities: a transcription of the
+# version that evaluated every inverse_shift and drop_base case as its own
+# fold of the whole word.  The rewrite reads each case from one fold of the
+# tower behind the first step, so whole reports must agree, failures and
+# their order included.  The tables and the level decider are looked up in
+# the library at call time, so a corrupted one reaches both versions.
+
+
+def _reference_omega_identities(sol, max_m, symbols=None):
+    n = sol.n
+    carrier = range(n)
+    if symbols is None:
+        tables = action_tables(sol, ALL_SYMBOLS, skip_unavailable=True)
+    else:
+        tables = {s: action_tables(sol, (s,))[s] for s in symbols}
+    usable = tuple(tables) if symbols is None else tuple(symbols)
+    invertible = tuple(s for s in usable if INVERSE_OF[s] in tables)
+    levels = _reference_levels(tables, usable, n, max_m)
+    report = {"seed": 0}
+
+    def record(name, checked, failures):
+        report[name] = {"checked": checked, "mode": "exhaustive", "failures": failures}
+
+    for m in range(1, max_m + 1):
+        level, shorter = levels[m], levels[m - 1]
+        failures = []
+        for f in level:
+            word, zs = _reference_path(levels, m, f)
+            failures.extend(
+                (word, x, zs, f[x]) for x in carrier if _fold(tables, word, x, zs) != f[x]
+            )
+        prepended = {tuple(f[v] for v in g) for f in shorter for g in levels[1]}
+        failures.extend(("prepend", f) for f in prepended ^ level.keys())
+        record(f"peel_one_m{m}", len(level) * n + len(shorter) * len(levels[1]), failures)
+
+        checked, failures = 0, []
+        for j in range(m + 1):
+            split = {tuple(b[v] for v in a) for a in levels[j] for b in levels[m - j]}
+            checked += len(levels[j]) * len(levels[m - j])
+            failures.extend(("split", j, f) for f in split ^ level.keys())
+        record(f"peel_prefix_m{m}", checked, failures)
+
+        failures = [
+            (g, x)
+            for g in invertible
+            for x in carrier
+            if _fold(tables, (g,) * m, x, (tables[INVERSE_OF[g]][x][x],) * m) != x
+        ]
+        record(f"inverse_seed_m{m}", len(invertible) * n, failures)
+
+        failures = []
+        for f in shorter:
+            rest, zs = _reference_path(levels, m - 1, f)
+            rhs = [_fold(tables, rest, z1, zs) for z1 in carrier]
+            for g, x, z1 in product(invertible, carrier, carrier):
+                lhs = _fold(tables, (g,) + rest, x, (tables[INVERSE_OF[g]][x][z1],) + zs)
+                if lhs != rhs[z1]:
+                    failures.append((g, rest, x, z1, zs))
+        record(f"inverse_shift_m{m}", len(invertible) * len(shorter) * n * n, failures)
+
+    tables = action_tables(sol, DEFAULT_ALPHABET)
+    levels = _reference_levels(tables, DEFAULT_ALPHABET, n, max_m - 1)
+    witness = sys.modules["yangbaxter.omega"]._permutational_witness
+    perm_level = next((k for k in range(max_m) if witness(levels, k) is None), None)
+    report["permutational_level_bound"] = perm_level
+    if perm_level is not None:
+        for k in range(perm_level, max_m):
+            failures = []
+            for f in levels[k]:
+                rest, zs = _reference_path(levels, k, f)
+                rhs = [_fold(tables, rest, y, zs) for y in carrier]
+                for s, x, z1 in product(DEFAULT_ALPHABET, carrier, carrier):
+                    word = (s,) + rest
+                    lhs = _fold(tables, word, x, (z1,) + zs)
+                    failures.extend((word, x, y, (z1,) + zs) for y in carrier if lhs != rhs[y])
+            record(f"drop_base_k{k}", len(levels[k]) * len(DEFAULT_ALPHABET) * n**3, failures)
+    return report
+
+
+def _suite_symbols(sol):
+    symbols = [SIGMA, TAU]
+    if left_nondegenerate(sol):
+        symbols.append(SIGMA_INV)
+    if right_nondegenerate(sol):
+        symbols.append(TAU_INV)
+    return tuple(symbols)
+
+
+def test_omega_identities_match_scalar_fold_reference_on_suite_populations():
+    sols = [
+        *enumerate_solutions(1),
+        *enumerate_solutions(2),
+        *enumerate_solutions(3, EnumFilter(require_left_nd=True)),
+    ]
+    assert len(sols) == 1 + 43 + 354
+    for sol in sols:
+        for symbols in (_suite_symbols(sol), None):
+            expected = _reference_omega_identities(sol, 3, symbols)
+            assert check_omega_identities(sol, 3, symbols=symbols) == expected, (sol, symbols)
+
+
+def test_omega_identities_match_scalar_fold_reference_on_nondegenerate_n4():
+    count = 0
+    for sol in enumerate_solutions(4, EnumFilter(require_nd=True)):
+        assert check_omega_identities(sol, 2) == _reference_omega_identities(sol, 2), sol
+        count += 1
+    assert count == 1800
+
+
+def _shift_first_row(real):
+    def corrupted(table, symbol):
+        rows = real(table, symbol)
+        return (rows[0][1:] + rows[0][:1], *rows[1:])
+    return corrupted
+
+
+def _one_level_early(real):
+    def corrupted(levels, k):
+        if k + 1 < len(levels) and real(levels, k + 1) is None:
+            return None
+        return real(levels, k)
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "hooked, corrupt, entry",
+    [
+        ("_inverse_rows", _shift_first_row, "inverse_shift_m1"),
+        ("_permutational_witness", _one_level_early, "drop_base_k0"),
+    ],
+    ids=["inverse_shift", "drop_base"],
+)
+def test_omega_identities_match_scalar_fold_reference_when_corrupted(
+    hooked, corrupt, entry, monkeypatch
+):
+    omega_module = sys.modules["yangbaxter.omega"]
+    monkeypatch.setattr(omega_module, hooked, corrupt(getattr(omega_module, hooked)))
+    for sol in (lyubashenko3(), projection(3)):
+        report = check_omega_identities(sol, 3)
+        assert report[entry]["failures"], sol
+        assert report == _reference_omega_identities(sol, 3), sol

@@ -10,10 +10,13 @@ from yangbaxter import (
     check_orbit_theorem,
     enumerate_solutions,
     is_decomposable,
+    is_k_permutational,
+    is_k_reductive,
     orbit_decomposition,
     validate_braid,
 )
 from yangbaxter.fixtures import left_only3, lyubashenko3, projection, singleton
+from yangbaxter.orbits import orbit_theorem_levels
 
 
 def disjoint_union_of_singletons():
@@ -81,3 +84,24 @@ def test_orbit_theorem_two_reductive():
 def test_orbit_theorem_requires_reductivity():
     with pytest.raises(NotKReductive):
         check_orbit_theorem(lyubashenko3(), 1)
+
+
+def test_orbit_theorem_levels_match_per_height_orbit_checks():
+    # every height from one build per orbit gives the per-height verdicts and
+    # witnesses, on reductive and non-reductive heights alike
+    reductive_heights = 0
+    for sol in enumerate_solutions(3, EnumFilter(require_nd=True)):
+        decomposition = orbit_decomposition(sol)
+        levels = orbit_theorem_levels(decomposition, 4)
+        assert list(levels) == [1, 2, 3, 4]
+        for k in range(1, 5):
+            expected = []
+            for sub in decomposition.suborbits:
+                ok, witness = is_k_permutational(sub.solution, k - 1)
+                if not ok:
+                    expected.append((sub.elements, witness))
+            assert levels[k] == expected, (sol, k)
+            if is_k_reductive(sol, k)[0]:
+                reductive_heights += 1
+                assert check_orbit_theorem(sol, k) == expected == []
+    assert reductive_heights > 0

@@ -61,6 +61,34 @@ def test_suite_walks_each_retract_tower_once(monkeypatch):
     assert len(calls) == 214
 
 
+def test_suite_decides_each_tower_fact_once(monkeypatch):
+    # one {sigma, tau} build per solution feeds every verdict, and the
+    # non-degenerate entries read those verdicts instead of deciding them
+    # again; when each entry decided for itself this was 2,728 builds, 445
+    # is_k_permutational and 298 is_k_reductive calls and 250 orbit
+    # decompositions
+    omega_module = sys.modules["yangbaxter.omega"]
+    calls = {"_tower_levels": 0, "is_k_permutational": 0, "is_k_reductive": 0,
+             "orbit_decomposition": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (omega_module, sys.modules["yangbaxter.orbits"], sys.modules["yangbaxter.suite"]):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    report = theorem_suite(3)
+    assert report.ok()
+    assert calls["_tower_levels"] <= 1600
+    assert calls["is_k_permutational"] == calls["is_k_reductive"] == 0
+    # the 71 non-degenerate solutions at n <= 3
+    assert calls["orbit_decomposition"] <= 71
+
+
 def test_suite_deterministic():
     a = theorem_suite(2)
     b = theorem_suite(2)
