@@ -57,7 +57,16 @@ GATE = {
         (0,), "de6338d9e344d2718899a93e9e140f37a022ade90592a3c274ea365d638e96b0"),
     "enumerate 4 nd census": (
         (0, 0, 0), "45f73a893a6d0ebb89b13367b86c4adea0157db9b9d9b96a9430315dae7675dd"),
+    "enumerate 3 iso": (
+        (0,) * 4, "d793824596cfaadb41db4387bc72f55f21041a163fb910ce0b2a23d74bf9bc83"),
+    "enumerate 3 census": (
+        (0,) * 4, "6fdb67dab8784c0b2ecb07d59e56669dd3808449003fc81c3161a44616c28509"),
+    "enumerate 4 left-nd census": (
+        (0,), "d2a103102e36a50caac76d72d363550a3977c8547c15beaee4ddce80621a7570"),
 }
+# the filters of the n = 3 iso and census groups, all counted by the
+# watch-list pass (the nd groups above go through derived racks)
+N3_FILTERS = ([], ["--left-nd"], ["--right-nd"], ["--bijective"])
 # Labels that the JSON escaper must spell out: non-ASCII letters, a quote, a
 # backslash, control characters, a line separator and an astral character.
 ESCAPED_LABELS = ["α\"ß", "\\é\t", "日本\u2028\x00😀"]
@@ -446,6 +455,9 @@ def test_stdout_bytes_and_exit_codes_are_pinned(tmp_path, capsys):
             ["enumerate", "4", "--nd", *extra, "--census", "--json"]
             for extra in ([], ["--involutive"], ["--square-free"])
         ],
+        "enumerate 3 iso": [["enumerate", "3", *f, "--iso"] for f in N3_FILTERS],
+        "enumerate 3 census": [["enumerate", "3", *f, "--census", "--json"] for f in N3_FILTERS],
+        "enumerate 4 left-nd census": [["enumerate", "4", "--left-nd", "--census", "--json"]],
     }
     observed = {}
     for name, runs in groups.items():
