@@ -84,12 +84,9 @@ def from_solution(sol):
     return QCycleSet(dot, colon)
 
 
-def to_solution(q):
-    """The left non-degenerate solution of a valid q-cycle set; inverse of
-    from_solution in both directions."""
-    bad = validate_qcycle(q)
-    if bad:
-        raise InvalidQCycle(f"axioms fail, first violation {bad[0]}", witness=bad[0])
+def _solution_of(q):
+    """The solution tables of q, whose dot rows are bijections; the axioms
+    are not checked."""
     n = q.n
     dot_inv = tuple(perm_inverse(row) for row in q.dot)
     sigma = dot_inv
@@ -97,6 +94,15 @@ def to_solution(q):
         tuple(q.colon[dot_inv[x][y]][x] for x in range(n)) for y in range(n)
     )
     return FiniteSolution(sigma, tau)
+
+
+def to_solution(q):
+    """The left non-degenerate solution of a valid q-cycle set; inverse of
+    from_solution in both directions."""
+    bad = validate_qcycle(q)
+    if bad:
+        raise InvalidQCycle(f"axioms fail, first violation {bad[0]}", witness=bad[0])
+    return _solution_of(q)
 
 
 def check_qcycle_correspondence(sol, q):
@@ -110,7 +116,7 @@ def check_qcycle_correspondence(sol, q):
     failures = [("qcycle_axiom", v) for v in validate_qcycle(q)]
     if failures:
         return failures
-    back = to_solution(q)
+    back = _solution_of(q)
     failures.extend(("solution_braid", v) for v in validate_braid(back))
     failures.extend(
         ("solution_left_row", x) for x in range(back.n) if not is_permutation(back.sigma[x])

@@ -8,39 +8,40 @@ Two independent routes produce the same populations:
   sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)}, reads the right table
   only at the cell tau[y][x], so the left table alone decides which values
   that cell may take: the t whose row sigma_t solves
-  sigma_{sigma_x(y)} p = sigma_x sigma_y.  A left table with a cell that
-  allows no value is skipped before any right-table search, and once all left
-  rows but the last are placed, the last row is drawn only from the rows that
-  the cells fixed by the placed rows still need.  The right-table search
-  walks each cell's allowed values in row-major order.  Each instance of the
-  second and third components sits on the watch list of a cell it reads and
-  is checked once, when the last cell it reads is placed; the search
-  backtracks on the first violation.
+  sigma_{sigma_x(y)} p = sigma_x sigma_y.  The left rows are placed one at
+  a time.  A cell whose rows x, y and sigma_x(y) are placed, but which no
+  placed row serves, needs one of the rows still to come; a prefix is cut
+  when such a cell allows no row at all, when no row is left, or when the
+  cells that need one single row need more distinct rows than are left.  So
+  every left table that reaches the right-table search gives each cell
+  some value.  The right-table search walks each cell's allowed values in
+  row-major order.  Each instance of the second and third components sits
+  on the watch list of a cell it reads and is checked once, when the last
+  cell it reads is placed; the search backtracks on the first violation.
 
 * ``oracle_enumerate`` is the deliberately unpruned cross-check: a full scan
   of every candidate table pair, testing the braid relation by literal
   composition of the two triple maps (vectorized over the right-table batch,
   but never skipping a candidate).
 
-``census`` and the ``up_to_iso`` stream count classes in one of two passes.
-Filters with permutation rows on both sides go through derived racks (see
-``derived``): the racks are enumerated and grouped into isomorphism classes,
-and each class's least rack R is searched for left tables with rows in
-Aut(R).  Every other filter goes through the watch-list search.  In both, a
-relabeling that fixes 0 (and, for the rack route, lies in Aut(R))
-conjugates the head row sigma_0 and carries the solutions with one head
-onto those with the conjugate head, so the pass searches only the least
-head row of each conjugacy orbit (7 of the 24 at n = 4 with permutation
-rows in the watch-list pass) and counts each solution found once per head
-in its orbit; the rack route multiplies by the n! / |Aut R| racks of R's
-class.  Classes are counted by marking orbits: the first solution of a
-class in the searched stream marks those relabelings of itself (in Aut(R)
-for the rack route) whose head row is a representative, and later members
-are found marked.  In the watch-list pass the least marked relabeling is the
-class's canonical form; the rack route takes the least of all relabelings
-of the class's first solution, and only for the ``up_to_iso`` stream.  The
-watch-list stream of a two-sided filter stays the cross-check of the rack
-route.
+``census`` and the ``up_to_iso`` stream share one class pass, which picks
+the route.  Filters with permutation rows on both sides go through derived
+racks (see ``derived``): the racks are enumerated and grouped into
+isomorphism classes, and each class's least rack R is searched for left
+tables with rows in Aut(R).  Every other filter goes through the
+watch-list search.  In both, a relabeling that fixes 0 (and, for the rack
+route, lies in Aut(R)) conjugates the head row sigma_0 and carries the
+solutions with one head onto those with the conjugate head, so the pass
+searches only the least head row of each conjugacy orbit (7 of the 24 at
+n = 4 with permutation rows in the watch-list pass) and counts each
+solution found once per head in its orbit; the rack route multiplies by the
+n! / |Aut R| racks of R's class.  Classes are counted by marking orbits:
+the first solution of a class in the searched stream marks those
+relabelings of itself (in Aut(R) for the rack route) whose head row is a
+representative, and later members are found marked.  The ``up_to_iso``
+stream takes the canonical form (least of all relabelings) of each class's
+first solution.  The watch-list stream of a two-sided filter stays the
+cross-check of the rack route.
 
 Census counts frozen into the shipped regression file come from a route that
 production does not use for the cell: the oracle wherever it finishes, and
@@ -67,7 +68,7 @@ from .core import (
     perm_inverse,
     square_free_witness,
 )
-from .derived import rack_classes, solutions as rack_solutions
+from .derived import _row_tables, rack_classes, solutions as rack_solutions
 from .errors import ParseError, SizeTooLarge
 
 MAX_N_UNRESTRICTED = 3
@@ -173,76 +174,84 @@ class _FirstComponent:
 
     The component reads the right table only at the cell tau[y][x], so that
     cell may hold t exactly when the row sigma_t solves
-    sigma_{sigma_x(y)} p = sigma_x sigma_y.  Row compositions and solution
-    sets are cached per row pair, for the rows of one stream.
+    sigma_{sigma_x(y)} p = sigma_x sigma_y.  Rows are named by their
+    positions in the row options, which are closed under composition;
+    compositions and solution sets are cached per pair of positions, for the
+    rows of one stream.
     """
 
     def __init__(self, row_opts):
         self._row_opts = row_opts
+        self._index = {row: i for i, row in enumerate(row_opts)}
         self._composed = {}
         self._solutions = {}
 
-    def solution_rows(self, sigma, x, y):
-        """The left rows p with sigma_{sigma_x(y)} p = sigma_x sigma_y."""
-        key = (sigma[x], sigma[y])
+    def solution_rows(self, sigma, ids, x, y):
+        """The positions of the left rows p with
+        sigma_{sigma_x(y)} p = sigma_x sigma_y; ids are the positions of
+        sigma's rows."""
+        key = (ids[x], ids[y])
         comp = self._composed.get(key)
         if comp is None:
-            outer, inner = key
-            comp = self._composed[key] = tuple(outer[v] for v in inner)
-        key = (sigma[sigma[x][y]], comp)
+            outer, inner = sigma[x], sigma[y]
+            comp = self._composed[key] = self._index[tuple(outer[v] for v in inner)]
+        key = (ids[sigma[x][y]], comp)
         rows = self._solutions.get(key)
         if rows is None:
-            outer, target = key
+            outer, target = sigma[sigma[x][y]], self._row_opts[comp]
             rows = self._solutions[key] = frozenset(
-                p for p in self._row_opts if all(outer[v] == w for v, w in zip(p, target))
+                i
+                for i, p in enumerate(self._row_opts)
+                if all(outer[v] == w for v, w in zip(p, target))
             )
         return rows
 
-    def last_rows(self, placed):
-        """The rows that may complete a left table whose rows but the last
-        are placed, in lexicographic order.
-
-        A pair (x, y) whose rows x, y and sigma_x(y) are all placed fixes the
-        solution rows of the cell tau[y][x]; when none of them is placed,
-        only the last row can serve that cell.
-        """
-        last = len(placed)
-        allowed = None
-        for x, y in product(range(last), repeat=2):
-            if placed[x][y] == last:
-                continue
-            rows = self.solution_rows(placed, x, y)
-            if rows.isdisjoint(placed):
-                allowed = rows if allowed is None else allowed & rows
-        if allowed is None:
-            return self._row_opts
-        return [row for row in self._row_opts if row in allowed]
-
     def left_tables(self, n, heads):
         """Left tables with the given first rows, in lexicographic order,
-        skipping the last rows ruled out by last_rows."""
-        if n == 1:
-            for head in heads:
-                yield (head,)
-            return
-        for head in heads:
-            for middle in product(self._row_opts, repeat=n - 2):
-                placed = (head,) + middle
-                for last in self.last_rows(placed):
-                    yield placed + (last,)
+        whose every right-table cell allows some value.
+
+        A pair (x, y) whose rows x, y and sigma_x(y) are placed fixes the
+        solution rows of the cell tau[y][x]; when none of them is placed,
+        the cell needs one of the rows still to place.  A prefix is cut when
+        such a cell has no solution row, when no row is left to place, or
+        when the cells that need one single row need more distinct rows than
+        are left.
+        """
+        # the needs still open once rows 0..k are placed, for the current
+        # prefix: the search is depth-first, so row k + 1 reads needs[k]
+        needs = [()] * n
+
+        def holds(sigma, ids, k):
+            left = n - 1 - k
+            unmet = [rows for rows in (needs[k - 1] if k else ()) if ids[k] not in rows]
+            if unmet and not left:
+                return False
+            # the pairs whose rows x, y and sigma_x(y) row k completes
+            for x in range(k + 1):
+                row = sigma[x]
+                for y in range(k + 1):
+                    w = row[y]
+                    if w > k or (w < k and x < k and y < k):
+                        continue
+                    rows = self.solution_rows(sigma, ids, x, y)
+                    if rows.isdisjoint(ids):
+                        if not left or not rows:
+                            return False
+                        unmet.append(rows)
+            needs[k] = unmet
+            return len({i for rows in unmet if len(rows) == 1 for i in rows}) <= left
+
+        return _row_tables(n, self._row_opts, heads, holds)
 
     def cell_values(self, sigma):
         """The values component 1 allows in each right-table cell, in
-        row-major cell order, or None when some cell allows none."""
+        row-major cell order."""
         n = len(sigma)
-        cells = []
-        for y, x in product(range(n), repeat=2):
-            rows = self.solution_rows(sigma, x, y)
-            values = [t for t in range(n) if sigma[t] in rows]
-            if not values:
-                return None
-            cells.append(values)
-        return cells
+        ids = [self._index[row] for row in sigma]
+        return [
+            [t for t in range(n) if ids[t] in self.solution_rows(sigma, ids, x, y)]
+            for y, x in product(range(n), repeat=2)
+        ]
 
 
 def _tau_completions(n, sigma, cells, right_perms):
@@ -336,8 +345,6 @@ def _raw_stream(n, filt, heads):
     first = _FirstComponent(_row_options(n, filt.left_rows_permutations))
     for sigma in first.left_tables(n, heads):
         cells = first.cell_values(sigma)
-        if cells is None:
-            continue
         for tau in _tau_completions(n, sigma, cells, filt.right_rows_permutations):
             sol = FiniteSolution(sigma, tau)
             if _passes(sol, filt):
@@ -395,81 +402,67 @@ def _flat_key(tables):
 
 
 def _marked_images(sol, group, orbits):
-    """The relabelings of sol by the (pi, pi^-1) pairs of group whose head
-    row is a representative in orbits, as (flat key, tables) pairs."""
-    images = []
-    for pi, pinv in group:
+    """The flat keys of the relabelings of sol by the (pi, pi^-1) pairs of
+    group whose head row is a representative in orbits."""
+    return [
+        _flat_key(_relabeled_tables(sol, pi))
+        for pi, pinv in group
         # the head row of the relabeled solution
-        if _conjugate(sol.sigma[pinv[0]], pi, pinv) in orbits:
-            tables = _relabeled_tables(sol, pi)
-            images.append((_flat_key(tables), tables))
-    return images
+        if _conjugate(sol.sigma[pinv[0]], pi, pinv) in orbits
+    ]
 
 
-def _class_pass(n, filt, workers):
-    """The raw count and the canonical (sigma, tau) tables of each
-    isomorphism class, from one search over the representative heads.
+def _classes(sols, group, orbits):
+    """The weighted count of sols and the first solution of each class.
 
-    Every class meets that search, because a relabeling that fixes 0 takes
-    any head to the least row of its orbit.  A found solution stands for
-    its orbit's size of solutions in the full stream.  A solution not yet
-    marked opens a class and marks its relabelings whose head row is a
-    representative; no other key comes up in the searched stream.  The
-    least of them is the canonical form: the lexicographically least
-    relabeling has the least head row of its orbit, since conjugating by a
-    relabeling that fixes 0 never takes it lower.
+    sols is a stream of the solutions with a representative head row; each
+    counts its head orbit's size.  A solution not yet marked opens a class
+    and marks its relabelings by group whose head row is a representative;
+    when group keeps the population, no other key comes up in the stream,
+    and every later member of the class is found marked.
     """
-    rows = _row_options(n, filt.left_rows_permutations)
-    orbits = dict(_head_orbits(rows, permutations(range(n))))
-    relabelings = [(pi, perm_inverse(pi)) for pi in permutations(range(n))]
     raw = 0
     marked = set()
-    classes = []
-    for sol in _head_stream(n, filt, list(orbits), workers):
+    firsts = []
+    for sol in sols:
         raw += orbits[sol.sigma[0]]
         if _flat_key((sol.sigma, sol.tau)) in marked:
             continue
-        images = _marked_images(sol, relabelings, orbits)
-        marked.update(key for key, _ in images)
-        classes.append(min(images))
-    return raw, classes
-
-
-def _through_racks(filt):
-    """Whether the filter asks for permutation rows on both sides, so that
-    its solutions are counted through their derived racks."""
-    return filt.left_rows_permutations and filt.right_rows_permutations
-
-
-def _rack_class_pass(n, filt):
-    """The raw count and the first solution found of each isomorphism class,
-    rack class by rack class (see derived).
-
-    Isomorphic solutions have isomorphic derived racks, and a relabeling
-    keeps the solutions over a rack R exactly when it is an automorphism of
-    R.  So the n! / |Aut R| racks of R's class have as many solutions each as
-    R, and the classes over R are the orbits of Aut(R) on the solutions over
-    R.  Within R the search takes the least head row of each orbit under the
-    automorphisms that fix 0, and counts and marks as _class_pass does, with
-    Aut(R) in place of all relabelings.
-    """
-    raw = 0
-    firsts = []
-    for rack, automorphisms in rack_classes(n):
-        orbits = dict(_head_orbits(automorphisms, automorphisms))
-        group = [(pi, perm_inverse(pi)) for pi in automorphisms]
-        found = 0
-        marked = set()
-        for sol in rack_solutions(rack, automorphisms, list(orbits)):
-            if not _passes(sol, filt):
-                continue
-            found += orbits[sol.sigma[0]]
-            if _flat_key((sol.sigma, sol.tau)) in marked:
-                continue
-            marked.update(key for key, _ in _marked_images(sol, group, orbits))
-            firsts.append(sol)
-        raw += factorial(n) // len(automorphisms) * found
+        marked.update(_marked_images(sol, group, orbits))
+        firsts.append(sol)
     return raw, firsts
+
+
+def _class_pass(n, filt, workers):
+    """The raw count and the first solution found of each isomorphism class,
+    from one search over representative heads.
+
+    A relabeling that fixes 0 takes any head to the least row of its orbit,
+    so every class meets that search.  Filters with permutation rows on both
+    sides go rack class by rack class (see derived): isomorphic solutions
+    have isomorphic derived racks, and a relabeling keeps the solutions over
+    a rack R exactly when it lies in Aut(R), so the n! / |Aut R| racks of
+    R's class have as many solutions each as R, and the classes over R are
+    the Aut(R)-orbits on its solutions; this route runs in the calling
+    process at any worker count.  Every other filter goes through the
+    watch-list search, marking with all relabelings.
+    """
+    if filt.left_rows_permutations and filt.right_rows_permutations:
+        raw, firsts = 0, []
+        for rack, automorphisms in rack_classes(n):
+            orbits = dict(_head_orbits(automorphisms, automorphisms))
+            group = [(pi, perm_inverse(pi)) for pi in automorphisms]
+            sols = rack_solutions(rack, automorphisms, list(orbits))
+            found, more = _classes(
+                (sol for sol in sols if _passes(sol, filt)), group, orbits
+            )
+            raw += factorial(n) // len(automorphisms) * found
+            firsts += more
+        return raw, firsts
+    rows = _row_options(n, filt.left_rows_permutations)
+    orbits = dict(_head_orbits(rows, permutations(range(n))))
+    group = [(pi, perm_inverse(pi)) for pi in permutations(range(n))]
+    return _classes(_head_stream(n, filt, list(orbits), workers), group, orbits)
 
 
 def enumerate_solutions(n, filt=EnumFilter(), workers=1):
@@ -482,12 +475,8 @@ def enumerate_solutions(n, filt=EnumFilter(), workers=1):
     """
     _check_bounds(n, filt)
     if filt.up_to_iso:
-        if _through_racks(filt):
-            _, firsts = _rack_class_pass(n, filt)
-            forms = [canonical_form(sol) for sol in firsts]
-        else:
-            _, classes = _class_pass(n, filt, workers)
-            forms = [FiniteSolution(*tables) for _, tables in classes]
+        _, firsts = _class_pass(n, filt, workers)
+        forms = [canonical_form(sol) for sol in firsts]
         yield from sorted(forms, key=lambda sol: _flat_key((sol.sigma, sol.tau)))
         return
     heads = _row_options(n, filt.left_rows_permutations)
@@ -495,21 +484,12 @@ def enumerate_solutions(n, filt=EnumFilter(), workers=1):
 
 
 def census(n, filt=EnumFilter(), workers=1):
-    """Raw and up-to-isomorphism counts for one (n, filter) cell.
-
-    Filters with permutation rows on both sides are counted through their
-    derived racks, in this process (see _rack_class_pass); the others by one
-    search from the least head row of each conjugacy orbit of head rows, in
-    which each solution found counts its orbit's size toward raw and each
-    class met is counted once by marking (see _class_pass).  Either way raw
-    is the length of the full stream and iso the number of distinct
-    canonical forms in it."""
+    """Raw and up-to-isomorphism counts for one (n, filter) cell, from one
+    class pass (see _class_pass): raw is the length of the full stream and
+    iso the number of distinct canonical forms in it."""
     _check_bounds(n, filt)
-    if _through_racks(filt):
-        raw, classes = _rack_class_pass(n, filt)
-    else:
-        raw, classes = _class_pass(n, filt, workers)
-    return CensusResult(raw=raw, iso=len(classes))
+    raw, firsts = _class_pass(n, filt, workers)
+    return CensusResult(raw=raw, iso=len(firsts))
 
 
 # ---------------------------------------------------------------------------

@@ -170,15 +170,59 @@ def test_watch_lists_match_full_rescan_n3(right_perms):
     rows = list(product(range(3), repeat=3))
     first = search._FirstComponent(rows)
     admitted = completions = 0
-    for sigma in product(rows, repeat=3):
+    for sigma in first.left_tables(3, rows):
         cells = first.cell_values(sigma)
-        if cells is None:
-            continue
+        assert all(cells), sigma
         admitted += 1
         expected = list(_reference_tau_completions(3, sigma, cells, right_perms))
         assert list(search._tau_completions(3, sigma, cells, right_perms)) == expected, sigma
         completions += len(expected)
-    assert admitted > 0 and completions > 0
+    assert admitted == 703 and completions > 0
+
+
+def _product_left_tables(n, rows):
+    """The left tables the search drew before its row backtracker: the first
+    n - 1 rows in every combination, then a last row among the rows that
+    each cell fixed by the placed rows, and served by none of them, allows."""
+    cache = {}
+
+    def solution_rows(sigma, x, y):
+        # the rows p with sigma_{sigma_x(y)} p = sigma_x sigma_y
+        key = (sigma[sigma[x][y]], tuple(sigma[x][v] for v in sigma[y]))
+        if key not in cache:
+            outer, target = key
+            cache[key] = {p for p in rows if all(outer[v] == w for v, w in zip(p, target))}
+        return cache[key]
+
+    last = n - 1
+    for placed in product(rows, repeat=last):
+        allowed = set(rows)
+        for x, y in product(range(last), repeat=2):
+            if placed[x][y] == last:
+                continue
+            needed = solution_rows(placed, x, y)
+            if needed.isdisjoint(placed):
+                allowed &= needed
+        for row in rows:
+            if row in allowed:
+                yield placed + (row,)
+
+
+def test_left_tables_match_the_product_route_n4():
+    # the row backtracker keeps exactly the tables of the former route that
+    # leave no right-table cell empty
+    rows = search._row_options(4, True)
+    first = search._FirstComponent(rows)
+    tables = list(first.left_tables(4, rows))
+    former = list(_product_left_tables(4, rows))
+    full = [
+        sigma
+        for sigma in former
+        if all(_component1_values(sigma, x, y) for x, y in product(range(4), repeat=2))
+    ]
+    assert len(former) == 13104 and len(full) == 1656
+    assert tables == full
+    assert all(all(first.cell_values(sigma)) for sigma in tables)
 
 
 def test_nd4_stream_is_pinned():

@@ -89,6 +89,26 @@ def test_suite_decides_each_tower_fact_once(monkeypatch):
     assert calls["orbit_decomposition"] <= 71
 
 
+def test_suite_validates_each_qcycle_set_twice(monkeypatch):
+    # once in check_qcycle_correspondence, which builds its round-trip
+    # solution without validating again, and once in the suite's own
+    # to_solution; when the correspondence check went through to_solution
+    # this was 1,107 calls
+    qcycle = sys.modules["yangbaxter.qcycle"]
+    calls = []
+    validate_qcycle = qcycle.validate_qcycle
+
+    def counted(q):
+        calls.append(q)
+        return validate_qcycle(q)
+
+    monkeypatch.setattr(qcycle, "validate_qcycle", counted)
+    report = theorem_suite(3)
+    assert report.ok()
+    # the 1 + 14 + 354 left non-degenerate solutions at n <= 3
+    assert len(calls) == 2 * 369
+
+
 def test_suite_deterministic():
     a = theorem_suite(2)
     b = theorem_suite(2)
