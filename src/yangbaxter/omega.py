@@ -16,7 +16,9 @@ every verdict exact for any n and k; a failing map is traced back to one word
 and argument list that witness it.  permutational_levels and
 reductive_levels read the verdicts of every height up to a bound from one
 build, and tower_verdicts reads both from one build; is_k_permutational and
-is_k_reductive are their one-height views.
+is_k_reductive are their one-height views.  tower_maps builds the
+{sigma, tau} maps once for a caller to hand to both tower_verdicts and
+check_omega_identities.
 """
 
 from itertools import product
@@ -139,14 +141,26 @@ def _tower_levels(tables, alphabet, n, height):
     the first step innermost.  levels[h] holds each distinct height-h map,
     as a tuple of its values on the bases 0..n-1, with one back-pointer
     (parent map, symbol, argument) to a height-(h-1) map it extends.
+    Only the first step of each distinct step map can give a back-pointer,
+    so the others are dropped, and the successors of a map are composed
+    once, however many heights it recurs at.
     """
-    steps = [(s, z, tuple(row[z] for row in tables[s])) for s in alphabet for z in range(n)]
+    steps = {}
+    for s in alphabet:
+        for z in range(n):
+            steps.setdefault(tuple(row[z] for row in tables[s]), (s, z))
+    successors = {}
     levels = [{tuple(range(n)): None}]
     for _ in range(height):
         level = {}
         for f in levels[-1]:
-            for s, z, g in steps:
-                level.setdefault(tuple(map(g.__getitem__, f)), (f, s, z))
+            after = successors.get(f)
+            if after is None:
+                after = successors[f] = {}
+                for g, (s, z) in steps.items():
+                    after.setdefault(tuple(map(g.__getitem__, f)), (f, s, z))
+            for h, pointer in after.items():
+                level.setdefault(h, pointer)
         levels.append(level)
     return levels
 
@@ -221,10 +235,30 @@ def _first_step_failures(tables, levels, h, first_symbols):
                     yield (s,) + word, x, (z,) + zs
 
 
+def _first_row_failure(g, rows):
+    """The first (s, x, z) of rows whose first step changes the value of the
+    map g after it, or None."""
+    for s, x, row in rows:
+        if tuple(map(g.__getitem__, row)) != g:
+            return s, x, next(z for z in range(len(g)) if g[row[z]] != g[z])
+    return None
+
+
 def _reductive_verdicts(tables, levels, k_max):
+    n = len(tables[SIGMA])
+    rows = [(s, x, tables[s][x]) for s in DEFAULT_ALPHABET for x in range(n)]
+    failure_of = {}
     verdicts = {}
     for k in range(1, k_max + 1):
-        witness = next(_first_step_failures(tables, levels, k - 1, {SIGMA: SIGMA, TAU: TAU}), None)
+        witness = None
+        for g in levels[k - 1]:
+            if g not in failure_of:
+                failure_of[g] = _first_row_failure(g, rows)
+            if failure_of[g] is not None:
+                s, x, z = failure_of[g]
+                word, zs = _tower_path(levels, k - 1, g)
+                witness = (s,) + word, x, (z,) + zs
+                break
         verdicts[k] = (witness is None, witness)
     return verdicts
 
@@ -236,15 +270,24 @@ def reductive_levels(sol, k_max):
     return tower_verdicts(sol, -1, k_max)[1]
 
 
-def tower_verdicts(sol, k_perm_max, k_red_max):
+def tower_maps(sol, height):
+    """The {sigma, tau} tower maps of every height up to height, built once
+    for a caller to hand to tower_verdicts and check_omega_identities."""
+    return _tower_levels(action_tables(sol, DEFAULT_ALPHABET), DEFAULT_ALPHABET, sol.n, height)
+
+
+def tower_verdicts(sol, k_perm_max, k_red_max, tower=None):
     """permutational_levels over {sigma, tau} up to k_perm_max and
     reductive_levels up to k_red_max, from one build of the tower maps up to
     the greater height either needs; a map is empty when its bound is below
     its first height.  The maps of a height do not depend on how far the
-    build goes, so each verdict and witness is the one-height decider's."""
-    tables = action_tables(sol, set(DEFAULT_ALPHABET))
-    levels = _tower_levels(tables, DEFAULT_ALPHABET, sol.n, max(k_perm_max, k_red_max - 1))
-    return _permutational_verdicts(levels, k_perm_max), _reductive_verdicts(tables, levels, k_red_max)
+    build goes, so each verdict and witness is the one-height decider's.
+    tower, when given, is tower_maps(sol, h) for some h that reaches that
+    height, already built by the caller."""
+    tables = action_tables(sol, DEFAULT_ALPHABET)
+    if tower is None:
+        tower = _tower_levels(tables, DEFAULT_ALPHABET, sol.n, max(k_perm_max, k_red_max - 1))
+    return _permutational_verdicts(tower, k_perm_max), _reductive_verdicts(tables, tower, k_red_max)
 
 
 def is_k_reductive(sol, k):
@@ -329,7 +372,26 @@ def closed_form_T_inverse(sol, k, reductive=False):
     return closed_form_inverse(sol, _closed_form_height(sol, k, reductive), TAU)
 
 
-def check_omega_identities(sol, max_m, seed=0, symbols=None):
+def _paths_and_folds(tables, levels, height):
+    """For each height h up to height, {f: (word, zs, fold)} over the
+    height-h maps in order: the word and arguments of f's back-pointer path,
+    and their scalar fold from every base.  Each extends its parent's by one
+    step through the tables, so no fold above height 0 is read from its map.
+    """
+    # the empty tower: the identity map, which levels[0] holds alone
+    carried = [{f: ((), (), f) for f in levels[0]}]
+    for level in levels[1 : height + 1]:
+        parents = carried[-1]
+        here = {}
+        for f, (p, s, z) in level.items():
+            word, zs, fold = parents[p]
+            table = tables[s]
+            here[f] = word + (s,), zs + (z,), tuple(table[v][z] for v in fold)
+        carried.append(here)
+    return carried
+
+
+def check_omega_identities(sol, max_m, seed=0, symbols=None, tower=None):
     """Verify the general tower rewriting identities on this solution.
 
     peel_one       every tower map replays, from every base, as the scalar
@@ -346,15 +408,17 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
 
     The first two compare the composed tower maps with the scalar fold and
     with each other; inverse_seed evaluates the scalar fold from every base.
-    inverse_shift and drop_base fold the tower behind the first step once
-    per distinct tower map and start value, and read each case, whatever its
-    first step and base, from that fold, so every case is covered.  They
-    hold for every solution (drop_base for permutational levels only), so
-    any reported failure is an implementation bug, not a property of the
+    Each map carries its word, arguments and scalar fold from every base,
+    each extended from its back-pointer parent's by one step.  inverse_shift
+    and drop_base read each case, whatever its first step and base, from
+    the fold of the tower behind the first step, so every case is covered.
+    They hold for every solution (drop_base for permutational levels only),
+    so any reported failure is an implementation bug, not a property of the
     input.  symbols restricts the tower alphabet; by default every symbol
-    the solution supports is used.  seed has no effect and is echoed in the
-    report.  Returns a dict of per-identity results with checked counts and
-    failure witnesses.
+    the solution supports is used.  tower, when given, is tower_maps(sol, h)
+    for some h >= max_m - 1, already built by the caller; drop_base reads
+    it.  seed has no effect and is echoed in the report.  Returns a dict of
+    per-identity results with checked counts and failure witnesses.
     """
     n = sol.n
     carrier = range(n)
@@ -366,6 +430,7 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
     # only pair a symbol with its inverse when both sit in the alphabet
     invertible = tuple(s for s in usable if INVERSE_OF[s] in tables)
     levels = _tower_levels(tables, usable, n, max_m)
+    carried = _paths_and_folds(tables, levels, max_m)
     report = {"seed": seed}
     # The tower (g,) + rest fed (a,) + zs from x is the tower rest fed zs from
     # tables[g][x][a], so inverse_shift and drop_base read rhs, the fold of
@@ -384,11 +449,9 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
         level, shorter = levels[m], levels[m - 1]
 
         failures = []
-        for f in level:
-            word, zs = _tower_path(levels, m, f)
-            failures.extend(
-                (word, x, zs, f[x]) for x in carrier if _eval(tables, word, x, zs) != f[x]
-            )
+        for f, (word, zs, fold) in carried[m].items():
+            if fold != f:
+                failures.extend((word, x, zs, f[x]) for x in carrier if fold[x] != f[x])
         # composing every height-(m-1) map after every single step
         prepended = {tuple(map(f.__getitem__, g)) for f in shorter for g in levels[1]}
         failures.extend(("prepend", f) for f in prepended ^ level.keys())
@@ -397,7 +460,10 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
         checked = 0
         failures = []
         for j in range(m + 1):
-            split = {tuple(map(b.__getitem__, a)) for a in levels[j] for b in levels[m - j]}
+            # the split j = 1 is the set prepended, built the same way
+            split = prepended if j == 1 else {
+                tuple(map(b.__getitem__, a)) for a in levels[j] for b in levels[m - j]
+            }
             checked += len(levels[j]) * len(levels[m - j])
             failures.extend(("split", j, f) for f in split ^ level.keys())
         record(f"peel_prefix_m{m}", checked, failures)
@@ -411,25 +477,23 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
         record(f"inverse_seed_m{m}", len(invertible) * n, failures)
 
         failures = []
-        for f in shorter:
-            rest, zs = _tower_path(levels, m - 1, f)
-            rhs = [_eval(tables, rest, v, zs) for v in carrier]
+        for rest, zs, rhs in carried[m - 1].values():
             failures.extend(
                 (g, rest, x, z1, zs) for g, x, z1, w in moved if rhs[w] != rhs[z1]
             )
         record(f"inverse_shift_m{m}", len(invertible) * len(shorter) * n * n, failures)
 
-    # one build of the {sigma, tau} maps decides the level and feeds drop_base
+    # the {sigma, tau} maps decide the level and feed drop_base
     tables = action_tables(sol, DEFAULT_ALPHABET)
-    levels = _tower_levels(tables, DEFAULT_ALPHABET, n, max_m - 1)
-    perm_level = next((k for k in range(max_m) if _permutational_witness(levels, k) is None), None)
+    if tower is None:
+        tower = _tower_levels(tables, DEFAULT_ALPHABET, n, max_m - 1)
+    perm_level = next((k for k in range(max_m) if _permutational_witness(tower, k) is None), None)
     report["permutational_level_bound"] = perm_level
     if perm_level is not None:
+        carried = _paths_and_folds(tables, tower, max_m - 1)
         for k in range(perm_level, max_m):
             failures = []
-            for f in levels[k]:
-                rest, zs = _tower_path(levels, k, f)
-                rhs = [_eval(tables, rest, y, zs) for y in carrier]
+            for rest, zs, rhs in carried[k].values():
                 if rhs.count(rhs[0]) == n:
                     continue  # every lhs is a value of rhs, so it equals every rhs[y]
                 for s, x, z1 in product(DEFAULT_ALPHABET, carrier, carrier):
@@ -437,7 +501,7 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
                     failures.extend(
                         ((s,) + rest, x, y, (z1,) + zs) for y in carrier if lhs != rhs[y]
                     )
-            record(f"drop_base_k{k}", len(levels[k]) * len(DEFAULT_ALPHABET) * n**3, failures)
+            record(f"drop_base_k{k}", len(tower[k]) * len(DEFAULT_ALPHABET) * n**3, failures)
     return report
 
 

@@ -433,6 +433,19 @@ def _classes(sols, group, orbits):
     return raw, firsts
 
 
+def _rack_admits(rack, filt):
+    """Whether the filter's pair-map predicates allow rack as a derived rack:
+    y |> x = sigma_y(tau_u(x)) with sigma_x(u) = y, so an involutive
+    solution's rack is trivial (y |> x = x) and a square-free solution's is a
+    quandle (x |> x = x)."""
+    n = len(rack)
+    if filt.require_involutive and any(row != tuple(range(n)) for row in rack):
+        return False
+    if filt.require_square_free and any(rack[x][x] != x for x in range(n)):
+        return False
+    return True
+
+
 def _class_pass(n, filt, workers):
     """The raw count and the first solution found of each isomorphism class,
     from one search over representative heads.
@@ -443,13 +456,16 @@ def _class_pass(n, filt, workers):
     have isomorphic derived racks, and a relabeling keeps the solutions over
     a rack R exactly when it lies in Aut(R), so the n! / |Aut R| racks of
     R's class have as many solutions each as R, and the classes over R are
-    the Aut(R)-orbits on its solutions; this route runs in the calling
-    process at any worker count.  Every other filter goes through the
-    watch-list search, marking with all relabelings.
+    the Aut(R)-orbits on its solutions; the rack classes the filter rules
+    out (see _rack_admits) are not searched, and this route runs in the
+    calling process at any worker count.  Every other filter goes through
+    the watch-list search, marking with all relabelings.
     """
     if filt.left_rows_permutations and filt.right_rows_permutations:
         raw, firsts = 0, []
         for rack, automorphisms in rack_classes(n):
+            if not _rack_admits(rack, filt):
+                continue
             orbits = dict(_head_orbits(automorphisms, automorphisms))
             group = [(pi, perm_inverse(pi)) for pi in automorphisms]
             sols = rack_solutions(rack, automorphisms, list(orbits))

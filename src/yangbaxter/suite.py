@@ -44,6 +44,7 @@ from .omega import (
     permutational_levels,
     reductive_inverse_start_levels,
     reductive_levels,
+    tower_maps,
     tower_verdicts,
 )
 from .orbits import orbit_decomposition, orbit_theorem_levels
@@ -122,7 +123,9 @@ def _check_universal(sol, report, props):
     bad.extend(_payload(sol, ("routes disagree", v)) for v in check_braid_routes(sol))
     report.record("braid_routes_agree", bad)
 
-    perm_levels, red_levels = tower_verdicts(sol, K_PERM_MAX, K_RED_MAX)
+    # one build of the {sigma, tau} maps feeds the verdicts and drop_base
+    tower = tower_maps(sol, max(K_PERM_MAX, K_RED_MAX - 1, OMEGA_IDENTITY_MAX_M - 1))
+    perm_levels, red_levels = tower_verdicts(sol, K_PERM_MAX, K_RED_MAX, tower)
     perm = {k: holds for k, (holds, _) in perm_levels.items()}
     red = {k: holds for k, (holds, _) in red_levels.items()}
 
@@ -146,7 +149,7 @@ def _check_universal(sol, report, props):
         symbols.append(SIGMA_INV)
     if props.right_nondegenerate:
         symbols.append(TAU_INV)
-    omega = check_omega_identities(sol, OMEGA_IDENTITY_MAX_M, symbols=tuple(symbols))
+    omega = check_omega_identities(sol, OMEGA_IDENTITY_MAX_M, symbols=tuple(symbols), tower=tower)
     failures = []
     for name, result in omega.items():
         if isinstance(result, dict) and result["failures"]:

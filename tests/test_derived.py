@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from yangbaxter import derived
-from yangbaxter.core import perm_inverse
+from yangbaxter.core import involutive_witness, perm_inverse, square_free_witness
 from yangbaxter.search import EnumFilter, enumerate_solutions
 
 # labeled racks and rack classes on n = 1..4 points (OEIS A181771)
@@ -71,6 +71,24 @@ def test_nd_solutions_are_fixed_by_rack_and_left_table(n):
         assert derived.right_table(op, sol.sigma) == sol.tau, sol
         count += 1
     assert count == {1: 1, 2: 4, 3: 66, 4: 1800}[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_involutive_racks_are_trivial_and_square_free_racks_are_quandles(n):
+    # the rack census searches only these racks for the two filters
+    trivial = tuple(tuple(range(n)) for _ in range(n))
+    seen = {"involutive": 0, "square_free": 0}
+    for sol in enumerate_solutions(n, EnumFilter(require_nd=True)):
+        op = _derived_rack(sol)
+        if involutive_witness(sol) is None:
+            assert op == trivial, sol
+            seen["involutive"] += 1
+        if square_free_witness(sol) is None:
+            assert all(op[x][x] == x for x in range(n)), sol
+            seen["square_free"] += 1
+    assert seen == {1: {"involutive": 1, "square_free": 1}, 2: {"involutive": 2, "square_free": 1},
+                    3: {"involutive": 12, "square_free": 12},
+                    4: {"involutive": 168, "square_free": 202}}[n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

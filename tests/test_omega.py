@@ -42,6 +42,7 @@ from yangbaxter.omega import (
     action_tables,
     check_reductive_inverse_start,
     reductive_inverse_start_levels,
+    tower_maps,
     tower_verdicts,
 )
 
@@ -211,6 +212,23 @@ def test_omega_identities_unsupported_explicit_symbol_raises():
         check_omega_identities(left_only3(), 1, symbols=(SIGMA, TAU, TAU_INV))
     with pytest.raises(SymbolUnavailable):
         check_omega_identities(left_only3(), 1, symbols=(SIGMA, SIGMA_HAT_INV))
+
+
+def test_handed_tower_maps_give_the_same_reports():
+    # the suite builds the {sigma, tau} maps once and hands them to both
+    sols = [
+        *enumerate_solutions(2),
+        *enumerate_solutions(3, EnumFilter(require_left_nd=True)),
+        lyubashenko3(), projection(3), left_only3(), z3group(),
+    ]
+    for sol in sols:
+        for height in (2, 3):
+            tower = tower_maps(sol, height)
+            assert tower_verdicts(sol, 2, 3, tower) == tower_verdicts(sol, 2, 3), sol
+            for symbols in (_suite_symbols(sol), None):
+                assert check_omega_identities(sol, 3, symbols=symbols, tower=tower) == (
+                    check_omega_identities(sol, 3, symbols=symbols)
+                ), (sol, height, symbols)
 
 
 def test_omega_identities_report_permutational_bound():
@@ -446,6 +464,41 @@ def test_reductive_inverse_start_matches_per_height_reference():
             assert reductive_inverse_start_levels(sol, (3, 1)) == {3: expected[3], 1: expected[1]}
     # failures are compared too, not only empty lists
     assert checked > 0
+
+
+def _assert_levels_match_reference(sol, alphabets, height):
+    """_tower_levels keeps the reference's maps, their order and their
+    back-pointers at every height; dict == would ignore the order, and the
+    witnesses follow it.  Returns how many alphabets the solution supports."""
+    tower_levels = sys.modules["yangbaxter.omega"]._tower_levels
+    supported = 0
+    for alphabet in alphabets:
+        try:
+            tables = action_tables(sol, set(alphabet))
+        except SymbolUnavailable:
+            continue
+        supported += 1
+        got = tower_levels(tables, alphabet, sol.n, height)
+        expected = _reference_levels(tables, alphabet, sol.n, height)
+        assert [list(level.items()) for level in got] == [
+            list(level.items()) for level in expected
+        ], (sol, alphabet)
+    return supported
+
+
+def test_tower_levels_keep_reference_order():
+    for sol in _level_solutions():
+        alphabets = [*LEVEL_ALPHABETS, _suite_symbols(sol), tuple(reversed(_suite_symbols(sol)))]
+        assert _assert_levels_match_reference(sol, alphabets, K_LEVELS) >= 3, sol
+
+
+def test_tower_levels_keep_reference_order_on_nondegenerate_n4():
+    count = 0
+    for sol in enumerate_solutions(4, EnumFilter(require_nd=True)):
+        alphabets = [*LEVEL_ALPHABETS, _suite_symbols(sol)]
+        assert _assert_levels_match_reference(sol, alphabets, 3) == len(alphabets), sol
+        count += 1
+    assert count == 1800
 
 
 # Scalar-fold reference for check_omega_identities: a transcription of the

@@ -292,6 +292,40 @@ def test_all_frozen_cells_reproduce():
         assert check_frozen_census(n, filt, result) is None, (n, sig, result)
 
 
+@pytest.mark.parametrize(
+    "sig, drawn, kept",
+    [("nd+involutive", 74, 74), ("nd+square_free", 169, 48), ("nd", 344, 344)],
+)
+def test_rack_census_searches_only_the_racks_the_filter_admits(sig, drawn, kept, monkeypatch):
+    # an involutive solution's derived rack is trivial and a square-free
+    # one's is a quandle; searching all 19 rack classes drew 344 solutions
+    # for each filter
+    racks, passed = [], []
+    rack_solutions, passes = search.rack_solutions, search._passes
+
+    def drawing(rack, automorphisms, heads):
+        for sol in rack_solutions(rack, automorphisms, heads):
+            racks.append(rack)
+            yield sol
+
+    def passing(sol, filt):
+        if passes(sol, filt):
+            passed.append(sol)
+            return True
+        return False
+
+    monkeypatch.setattr(search, "rack_solutions", drawing)
+    monkeypatch.setattr(search, "_passes", passing)
+    filt = EnumFilter.from_signature(sig)
+    result = census(4, filt)
+    assert check_frozen_census(4, filt, result) is None
+    assert (len(racks), len(passed)) == (drawn, kept)
+    if filt.require_involutive:
+        assert set(racks) == {tuple(tuple(range(4)) for _ in range(4))}
+    if filt.require_square_free:
+        assert all(rack[x][x] == x for rack in racks for x in range(4))
+
+
 # the n = 4 cells check the rack route against the watch-list stream
 @pytest.mark.parametrize("n, sig", FROZEN_CELLS)
 def test_census_iso_counts_canonical_forms(n, sig):

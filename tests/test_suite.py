@@ -62,11 +62,12 @@ def test_suite_walks_each_retract_tower_once(monkeypatch):
 
 
 def test_suite_decides_each_tower_fact_once(monkeypatch):
-    # one {sigma, tau} build per solution feeds every verdict, and the
-    # non-degenerate entries read those verdicts instead of deciding them
-    # again; when each entry decided for itself this was 2,728 builds, 445
-    # is_k_permutational and 298 is_k_reductive calls and 250 orbit
-    # decompositions
+    # one {sigma, tau} build per solution feeds every verdict and the
+    # battery's drop_base, and the non-degenerate entries read those
+    # verdicts instead of deciding them again; when each entry decided for
+    # itself this was 2,728 builds, 445 is_k_permutational and 298
+    # is_k_reductive calls and 250 orbit decompositions, and 1,573 builds
+    # when the battery built its own {sigma, tau} maps
     omega_module = sys.modules["yangbaxter.omega"]
     calls = {"_tower_levels": 0, "is_k_permutational": 0, "is_k_reductive": 0,
              "orbit_decomposition": 0}
@@ -83,10 +84,89 @@ def test_suite_decides_each_tower_fact_once(monkeypatch):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     report = theorem_suite(3)
     assert report.ok()
-    assert calls["_tower_levels"] <= 1600
+    assert calls["_tower_levels"] <= 1175
     assert calls["is_k_permutational"] == calls["is_k_reductive"] == 0
     # the 71 non-degenerate solutions at n <= 3
     assert calls["orbit_decomposition"] <= 71
+
+
+def _witness_count(result):
+    """The witnesses in a tower decider's result: {k: (holds, witness)}, a
+    pair of those, or {k: failures} of reductive_inverse_start_levels, where
+    the failures of one tower map share its path."""
+    if isinstance(result, tuple):
+        return sum(map(_witness_count, result))
+    count = 0
+    for value in result.values():
+        if isinstance(value, list):
+            count += len({(word[1:], zs[1:]) for word, _, zs in value})
+        else:
+            count += value[1] is not None
+    return count
+
+
+def test_suite_traces_paths_only_for_witnesses(monkeypatch):
+    # every tower map carries its path and its scalar fold through the
+    # identity battery, so a path is traced only for a witness (one the
+    # deciders return, or one below the battery's permutational level
+    # bound), and the battery folds a word only for inverse_seed; when it
+    # traced and folded every map afresh this was 13,575 _tower_path calls
+    # (3,977 now) and 36,068 _eval calls in the battery (7,908 now)
+    omega_module = sys.modules["yangbaxter.omega"]
+    calls = {"_tower_path": 0, "_eval": 0}
+    expected = {"_tower_path": 0, "_eval": 0}
+    in_battery = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if name == "_tower_path" or in_battery:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def battery(fn):
+        def wrapper(*args, **kwargs):
+            in_battery.append(True)
+            try:
+                report = fn(*args, **kwargs)
+            finally:
+                in_battery.pop()
+            expected["_eval"] += sum(
+                v["checked"] for name, v in report.items() if name.startswith("inverse_seed")
+            )
+            # the level decider's witness at each height below the bound
+            bound = report["permutational_level_bound"]
+            expected["_tower_path"] += args[1] if bound is None else bound
+            return report
+        return wrapper
+
+    def deciding(fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            expected["_tower_path"] += _witness_count(result)
+            return result
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(omega_module, name, counted(name, getattr(omega_module, name)))
+    suite_module, orbits_module = sys.modules["yangbaxter.suite"], sys.modules["yangbaxter.orbits"]
+    monkeypatch.setattr(
+        suite_module, "check_omega_identities", battery(suite_module.check_omega_identities)
+    )
+    deciders = {
+        suite_module: ("tower_verdicts", "permutational_levels", "reductive_levels",
+                       "reductive_inverse_start_levels"),
+        orbits_module: ("permutational_levels",),
+    }
+    for module, names in deciders.items():
+        for name in names:
+            monkeypatch.setattr(module, name, deciding(getattr(module, name)))
+    # is_k_reductive decides every height below k and returns one witness
+    monkeypatch.setattr(orbits_module, "is_k_reductive", None)
+    report = theorem_suite(3)
+    assert report.ok()
+    assert expected["_tower_path"] > 0 and expected["_eval"] > 0
+    assert calls == expected
 
 
 def test_suite_validates_each_qcycle_set_twice(monkeypatch):
