@@ -12,13 +12,28 @@ alphabet of families decide the two tower-collapse properties:
 Every tower is a composition of step maps X -> X, so the height-k towers
 form a set of at most n**n distinct maps, built level by level from the
 height-(k-1) maps.  Both properties are decided on these sets, which makes
-every verdict exact for any n and k; a failing map is traced back to one word
-and argument list that witness it.  permutational_levels and
-reductive_levels read the verdicts of every height up to a bound from one
-build, and tower_verdicts reads both from one build; is_k_permutational and
-is_k_reductive are their one-height views.  tower_maps builds the
-{sigma, tau} maps once for a caller to hand to both tower_verdicts and
-check_omega_identities.
+every verdict exact for any n and k.  Each job has one place:
+
+* action_tables builds every action table: sigma and tau are the solution's,
+  sigma_hat and tau_hat come from one inversion of it, and each *_inv table
+  is the row inverses of its base;
+* _tower_levels builds the distinct maps of each height, each with one
+  back-pointer to a map one step shorter that it extends;
+* two readers decide on those maps: _first_nonconstant finds the first map
+  that is not constant (level-k permutational), and _first_step_failures
+  the towers whose first step changes their value (k-reductive, and the
+  inverse-start identity);
+* check_omega_identities carries one scalar fold per map from every base
+  (_folds), each extended from its parent's by one step;
+* _tower_path follows the back-pointers of a map to one word and argument
+  list; it is the only path builder, and runs only for a witness or a
+  failure.
+
+permutational_levels and reductive_levels read the verdicts of every height
+up to a bound from one build, and tower_verdicts reads both from one build;
+is_k_permutational and is_k_reductive are their one-height views.  tower_maps
+builds the {sigma, tau} maps once for a caller to hand to both
+tower_verdicts and check_omega_identities.
 """
 
 from itertools import product
@@ -58,6 +73,7 @@ INVERSE_OF = {
     TAU_HAT: TAU_HAT_INV, TAU_HAT_INV: TAU_HAT,
 }
 
+
 def _inverse_rows(table, symbol):
     if not all(is_permutation(row) for row in table):
         raise SymbolUnavailable(f"{symbol} needs every underlying row to be a bijection")
@@ -66,41 +82,32 @@ def _inverse_rows(table, symbol):
 
 def action_tables(sol, symbols, skip_unavailable=False):
     """The action table of each requested symbol: table[x][z] applies the
-    translation indexed by x to z.  The hatted symbols share one inversion of
-    the solution.  Raises SymbolUnavailable when the solution lacks the
-    invertibility a symbol needs; with skip_unavailable that symbol is left
-    out instead."""
+    translation indexed by x to z.  sigma and tau are the solution's tables,
+    sigma_hat and tau_hat those of its inverse, which the first hatted symbol
+    computes once, and each *_inv table is the row inverses of its base.
+    Raises SymbolUnavailable, for the first symbol in order that it
+    concerns, when the solution lacks the invertibility a symbol needs or
+    the symbol is unknown; with skip_unavailable that symbol is left out
+    instead."""
+    bases = {SIGMA: sol.sigma, TAU: sol.tau}
     tables = {}
-    inv_sol = None
-    if any(s in HATTED for s in symbols):
-        try:
-            inv_sol = invert(sol)
-        except NotBijective as exc:
-            if not skip_unavailable:
-                raise SymbolUnavailable(
-                    "hatted symbols need a bijective pair map", witness=exc.witness
-                ) from exc
-            symbols = [s for s in symbols if s not in HATTED]
     for s in symbols:
         try:
-            if s == SIGMA:
-                tables[s] = sol.sigma
-            elif s == TAU:
-                tables[s] = sol.tau
-            elif s == SIGMA_INV:
-                tables[s] = _inverse_rows(sol.sigma, s)
-            elif s == TAU_INV:
-                tables[s] = _inverse_rows(sol.tau, s)
-            elif s == SIGMA_HAT:
-                tables[s] = inv_sol.sigma
-            elif s == TAU_HAT:
-                tables[s] = inv_sol.tau
-            elif s == SIGMA_HAT_INV:
-                tables[s] = _inverse_rows(inv_sol.sigma, s)
-            elif s == TAU_HAT_INV:
-                tables[s] = _inverse_rows(inv_sol.tau, s)
-            else:
+            if s not in INVERSE_OF:
                 raise SymbolUnavailable(f"unknown symbol {s!r}")
+            if s in HATTED and SIGMA_HAT not in bases:
+                # None stands for an inversion that failed, so it is tried once
+                bases[SIGMA_HAT] = bases[TAU_HAT] = None
+                try:
+                    inv_sol = invert(sol)
+                except NotBijective as exc:
+                    raise SymbolUnavailable(
+                        "hatted symbols need a bijective pair map", witness=exc.witness
+                    ) from exc
+                bases[SIGMA_HAT], bases[TAU_HAT] = inv_sol.sigma, inv_sol.tau
+            root = s if s in bases else INVERSE_OF[s]
+            if bases[root] is not None:
+                tables[s] = bases[root] if root == s else _inverse_rows(bases[root], s)
         except SymbolUnavailable:
             if not skip_unavailable:
                 raise
@@ -129,7 +136,7 @@ def omega_eval(sol, word, x, zs):
     zs = tuple(zs)
     if len(word) != len(zs):
         raise ValueError(f"word length {len(word)} != argument count {len(zs)}")
-    tables = action_tables(sol, set(word))
+    tables = action_tables(sol, dict.fromkeys(word))
     return _eval(tables, word, x, zs)
 
 
@@ -175,22 +182,25 @@ def _tower_path(levels, h, f):
     return tuple(reversed(word)), tuple(reversed(zs))
 
 
-def _permutational_witness(levels, k):
-    """None when every height-k map is constant, else (word, 0, y, zs) for
-    the first map and base y that tell it apart from base 0."""
+def _first_nonconstant(levels, k):
+    """None when every height-k map is constant, else (f, y) for the first
+    map f and the first base y that f tells apart from base 0."""
     for f in levels[k]:
         if f.count(f[0]) != len(f):
-            y = next(y for y in range(1, len(f)) if f[y] != f[0])
-            word, zs = _tower_path(levels, k, f)
-            return word, 0, y, zs
+            return f, next(y for y in range(1, len(f)) if f[y] != f[0])
     return None
 
 
 def _permutational_verdicts(levels, k_max):
     verdicts = {}
     for k in range(k_max + 1):
-        witness = _permutational_witness(levels, k)
-        verdicts[k] = (witness is None, witness)
+        first = _first_nonconstant(levels, k)
+        if first is None:
+            verdicts[k] = (True, None)
+        else:
+            f, y = first
+            word, zs = _tower_path(levels, k, f)
+            verdicts[k] = (False, (word, 0, y, zs))
     return verdicts
 
 
@@ -199,7 +209,7 @@ def permutational_levels(sol, k_max, alphabet=DEFAULT_ALPHABET):
     tower maps over the alphabet: {k: (holds, witness)}."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    tables = action_tables(sol, set(alphabet))
+    tables = action_tables(sol, alphabet)
     return _permutational_verdicts(_tower_levels(tables, alphabet, sol.n, k_max), k_max)
 
 
@@ -235,30 +245,10 @@ def _first_step_failures(tables, levels, h, first_symbols):
                     yield (s,) + word, x, (z,) + zs
 
 
-def _first_row_failure(g, rows):
-    """The first (s, x, z) of rows whose first step changes the value of the
-    map g after it, or None."""
-    for s, x, row in rows:
-        if tuple(map(g.__getitem__, row)) != g:
-            return s, x, next(z for z in range(len(g)) if g[row[z]] != g[z])
-    return None
-
-
 def _reductive_verdicts(tables, levels, k_max):
-    n = len(tables[SIGMA])
-    rows = [(s, x, tables[s][x]) for s in DEFAULT_ALPHABET for x in range(n)]
-    failure_of = {}
     verdicts = {}
     for k in range(1, k_max + 1):
-        witness = None
-        for g in levels[k - 1]:
-            if g not in failure_of:
-                failure_of[g] = _first_row_failure(g, rows)
-            if failure_of[g] is not None:
-                s, x, z = failure_of[g]
-                word, zs = _tower_path(levels, k - 1, g)
-                witness = (s,) + word, x, (z,) + zs
-                break
+        witness = next(_first_step_failures(tables, levels, k - 1, {SIGMA: SIGMA, TAU: TAU}), None)
         verdicts[k] = (witness is None, witness)
     return verdicts
 
@@ -372,23 +362,19 @@ def closed_form_T_inverse(sol, k, reductive=False):
     return closed_form_inverse(sol, _closed_form_height(sol, k, reductive), TAU)
 
 
-def _paths_and_folds(tables, levels, height):
-    """For each height h up to height, {f: (word, zs, fold)} over the
-    height-h maps in order: the word and arguments of f's back-pointer path,
-    and their scalar fold from every base.  Each extends its parent's by one
-    step through the tables, so no fold above height 0 is read from its map.
-    """
+def _folds(tables, levels, height):
+    """For each height h up to height, {f: fold} over the height-h maps in
+    order: the scalar fold of f's back-pointer path from every base.  Each
+    extends its parent's fold by one step through the tables, so no fold
+    above height 0 is read from its map."""
     # the empty tower: the identity map, which levels[0] holds alone
-    carried = [{f: ((), (), f) for f in levels[0]}]
+    folds = [{f: f for f in levels[0]}]
     for level in levels[1 : height + 1]:
-        parents = carried[-1]
-        here = {}
-        for f, (p, s, z) in level.items():
-            word, zs, fold = parents[p]
-            table = tables[s]
-            here[f] = word + (s,), zs + (z,), tuple(table[v][z] for v in fold)
-        carried.append(here)
-    return carried
+        parents = folds[-1]
+        folds.append(
+            {f: tuple(tables[s][v][z] for v in parents[p]) for f, (p, s, z) in level.items()}
+        )
+    return folds
 
 
 def check_omega_identities(sol, max_m, seed=0, symbols=None, tower=None):
@@ -408,10 +394,11 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None, tower=None):
 
     The first two compare the composed tower maps with the scalar fold and
     with each other; inverse_seed evaluates the scalar fold from every base.
-    Each map carries its word, arguments and scalar fold from every base,
-    each extended from its back-pointer parent's by one step.  inverse_shift
-    and drop_base read each case, whatever its first step and base, from
-    the fold of the tower behind the first step, so every case is covered.
+    Each map carries its scalar fold from every base, extended from its
+    back-pointer parent's by one step, and a failing map traces its word and
+    arguments back through its back-pointers.  inverse_shift and drop_base
+    read each case, whatever its first step and base, from the fold of the
+    tower behind the first step, so every case is covered.
     They hold for every solution (drop_base for permutational levels only),
     so any reported failure is an implementation bug, not a property of the
     input.  symbols restricts the tower alphabet; by default every symbol
@@ -425,12 +412,12 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None, tower=None):
     if symbols is None:
         tables = action_tables(sol, ALL_SYMBOLS, skip_unavailable=True)
     else:
-        tables = {s: action_table(sol, s) for s in symbols}
+        tables = action_tables(sol, symbols)
     usable = tuple(tables) if symbols is None else tuple(symbols)
     # only pair a symbol with its inverse when both sit in the alphabet
     invertible = tuple(s for s in usable if INVERSE_OF[s] in tables)
     levels = _tower_levels(tables, usable, n, max_m)
-    carried = _paths_and_folds(tables, levels, max_m)
+    folds = _folds(tables, levels, max_m)
     report = {"seed": seed}
     # The tower (g,) + rest fed (a,) + zs from x is the tower rest fed zs from
     # tables[g][x][a], so inverse_shift and drop_base read rhs, the fold of
@@ -449,8 +436,9 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None, tower=None):
         level, shorter = levels[m], levels[m - 1]
 
         failures = []
-        for f, (word, zs, fold) in carried[m].items():
+        for f, fold in folds[m].items():
             if fold != f:
+                word, zs = _tower_path(levels, m, f)
                 failures.extend((word, x, zs, f[x]) for x in carrier if fold[x] != f[x])
         # composing every height-(m-1) map after every single step
         prepended = {tuple(map(f.__getitem__, g)) for f in shorter for g in levels[1]}
@@ -477,25 +465,28 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None, tower=None):
         record(f"inverse_seed_m{m}", len(invertible) * n, failures)
 
         failures = []
-        for rest, zs, rhs in carried[m - 1].values():
-            failures.extend(
-                (g, rest, x, z1, zs) for g, x, z1, w in moved if rhs[w] != rhs[z1]
-            )
+        for f, rhs in folds[m - 1].items():
+            shifted = [(g, x, z1) for g, x, z1, w in moved if rhs[w] != rhs[z1]]
+            if shifted:
+                rest, zs = _tower_path(levels, m - 1, f)
+                failures.extend((g, rest, x, z1, zs) for g, x, z1 in shifted)
         record(f"inverse_shift_m{m}", len(invertible) * len(shorter) * n * n, failures)
 
     # the {sigma, tau} maps decide the level and feed drop_base
     tables = action_tables(sol, DEFAULT_ALPHABET)
     if tower is None:
         tower = _tower_levels(tables, DEFAULT_ALPHABET, n, max_m - 1)
-    perm_level = next((k for k in range(max_m) if _permutational_witness(tower, k) is None), None)
+    perm_level = next((k for k in range(max_m) if _first_nonconstant(tower, k) is None), None)
     report["permutational_level_bound"] = perm_level
     if perm_level is not None:
-        carried = _paths_and_folds(tables, tower, max_m - 1)
+        folds = _folds(tables, tower, max_m - 1)
         for k in range(perm_level, max_m):
             failures = []
-            for rest, zs, rhs in carried[k].values():
+            for f, rhs in folds[k].items():
                 if rhs.count(rhs[0]) == n:
                     continue  # every lhs is a value of rhs, so it equals every rhs[y]
+                # some lhs differs from some rhs[y], so this map fails
+                rest, zs = _tower_path(tower, k, f)
                 for s, x, z1 in product(DEFAULT_ALPHABET, carrier, carrier):
                     lhs = rhs[tables[s][x][z1]]
                     failures.extend(
@@ -512,7 +503,7 @@ def reductive_inverse_start_levels(sol, ks):
         raise ValueError("k must be >= 1")
     if not ks:
         return {}
-    tables = action_tables(sol, set(DEFAULT_ALPHABET) | {SIGMA_INV, TAU_INV})
+    tables = action_tables(sol, FULL_ALPHABET)
     levels = _tower_levels(tables, DEFAULT_ALPHABET, sol.n, max(ks) - 1)
     inverses = {SIGMA: SIGMA_INV, TAU: TAU_INV}
     return {k: list(_first_step_failures(tables, levels, k - 1, inverses)) for k in ks}

@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from yangbaxter import EnumFilter, oracle_enumerate
+from yangbaxter import EnumFilter, enumerate_solutions, oracle_enumerate
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +16,24 @@ def oracle_population():
         return oracle_enumerate(n, EnumFilter.from_signature(sig))
 
     return population
+
+
+@pytest.fixture(scope="session")
+def suite_populations():
+    """The suite's populations, {n: solutions in stream order}: every
+    solution at n <= 2 and the left non-degenerate ones at n = 3.  Streamed
+    once per test session for the tests that take them as input; the tests
+    of the stream itself call enumerate_solutions."""
+    return {
+        1: tuple(enumerate_solutions(1)),
+        2: tuple(enumerate_solutions(2)),
+        3: tuple(enumerate_solutions(3, EnumFilter(require_left_nd=True))),
+    }
+
+
+@pytest.fixture(scope="session")
+def nd4_population():
+    """The 1,800 non-degenerate solutions at n = 4 in stream order, streamed
+    once per test session for the tests that take them as input; the tests
+    of the stream itself call enumerate_solutions."""
+    return tuple(enumerate_solutions(4, EnumFilter(require_nd=True)))

@@ -22,7 +22,6 @@ from yangbaxter import (
     check_retract_duality,
     check_star_conditions,
     diagonal_maps,
-    enumerate_solutions,
     is_decomposable,
     is_k_permutational,
     is_k_reductive,
@@ -53,15 +52,10 @@ def _passed(number, text):
 
 
 @pytest.fixture(scope="module")
-def populations():
+def populations(suite_populations):
     """Complete populations: unrestricted at n <= 2, left non-degenerate at
     n = 3 (a superset of every class the criteria quantify over at n = 3)."""
-    pops = {
-        1: list(enumerate_solutions(1)),
-        2: list(enumerate_solutions(2)),
-        3: list(enumerate_solutions(3, EnumFilter(require_left_nd=True))),
-    }
-    return pops
+    return {n: list(sols) for n, sols in suite_populations.items()}
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +67,8 @@ def nd_population(populations):
 
 
 @pytest.fixture(scope="module")
-def nd_population_n4():
-    return list(enumerate_solutions(4, EnumFilter(require_nd=True)))
+def nd_population_n4(nd4_population):
+    return list(nd4_population)
 
 
 def test_criterion_01_worked_example_exact(populations):

@@ -34,10 +34,13 @@ from yangbaxter.omega import (
     DEFAULT_ALPHABET,
     INVERSE_OF,
     FULL_ALPHABET,
+    HATTED,
     SIGMA,
+    SIGMA_HAT,
     SIGMA_HAT_INV,
     SIGMA_INV,
     TAU,
+    TAU_HAT,
     TAU_INV,
     action_tables,
     check_reductive_inverse_start,
@@ -75,6 +78,60 @@ def test_symbol_unavailable_on_degenerate_side():
         omega_eval(left_only3(), (TAU_INV,), 0, (0,))
     with pytest.raises(SymbolUnavailable):
         action_tables(left_only3(), ("sigma_hat",))
+    # degenerate on both sides: sigma_inv, asked for first, names the error
+    # whatever the string hash seed
+    with pytest.raises(SymbolUnavailable, match="sigma_inv"):
+        check_reductive_inverse_start(FiniteSolution(((0, 0), (0, 0)), ((0, 0), (0, 0))), 1)
+
+
+def _defined_tables(sol):
+    """Each symbol's table read off its definition, for the symbols whose
+    definition holds: sigma and tau are the solution's tables, the inverse
+    pair map r^-1(u, v) = (sigma_hat[u][v], tau_hat[v][u]) gives the hatted
+    ones when r is a bijection, and row x of a *_inv table sends z to the one
+    w that row x of its base sends to z, when every row has such a w."""
+    carrier = range(sol.n)
+    tables = {SIGMA: sol.sigma, TAU: sol.tau}
+    preimages = {}
+    for x, y in product(carrier, repeat=2):
+        preimages.setdefault(sol.r(x, y), []).append((x, y))
+    if all(len(preimages.get((u, v), ())) == 1 for u, v in product(carrier, repeat=2)):
+        tables[SIGMA_HAT] = tuple(tuple(preimages[u, v][0][0] for v in carrier) for u in carrier)
+        tables[TAU_HAT] = tuple(tuple(preimages[u, v][0][1] for u in carrier) for v in carrier)
+    for base, table in list(tables.items()):
+        solves = [[[w for w in carrier if table[x][w] == z] for z in carrier] for x in carrier]
+        if all(len(ws) == 1 for row in solves for ws in row):
+            tables[INVERSE_OF[base]] = tuple(tuple(ws[0] for ws in row) for row in solves)
+    return tables
+
+
+def test_action_tables_match_the_definitions(level_solutions):
+    unavailable = dict.fromkeys(ALL_SYMBOLS, 0)
+    for sol in level_solutions:
+        expected = _defined_tables(sol)
+        tables = action_tables(sol, ALL_SYMBOLS, skip_unavailable=True)
+        # the same tables, in the order asked for
+        assert list(tables.items()) == [(s, expected[s]) for s in ALL_SYMBOLS if s in expected], sol
+        for s in ALL_SYMBOLS:
+            if s in expected:
+                assert action_tables(sol, (s,)) == {s: expected[s]}, (sol, s)
+            else:
+                # unavailable exactly where its definition fails
+                unavailable[s] += 1
+                with pytest.raises(SymbolUnavailable):
+                    action_tables(sol, (s,))
+    # every symbol but sigma and tau is missing somewhere and present elsewhere
+    assert unavailable[SIGMA] == unavailable[TAU] == 0
+    assert all(
+        0 < unavailable[s] < len(level_solutions) for s in ALL_SYMBOLS if s not in DEFAULT_ALPHABET
+    ), unavailable
+
+
+def test_unknown_symbol_raises_or_is_left_out():
+    sol = lyubashenko3()
+    with pytest.raises(SymbolUnavailable, match="unknown symbol 'rho'"):
+        action_tables(sol, (SIGMA, "rho"))
+    assert action_tables(sol, (SIGMA, "rho"), skip_unavailable=True) == {SIGMA: sol.sigma}
 
 
 def test_k_permutational_examples():
@@ -177,10 +234,9 @@ def _supported_reference(sol, groups):
     return tuple(out)
 
 
-def test_omega_identities_default_alphabet_is_every_supported_symbol():
-    sols = _level_solutions()
+def test_omega_identities_default_alphabet_is_every_supported_symbol(level_solutions):
     sizes = set()
-    for sol in sols:
+    for sol in level_solutions:
         usable = _supported_reference(sol, [(s,) for s in ALL_SYMBOLS])
         pairs = [(s, INVERSE_OF[s]) for s in usable if INVERSE_OF[s] in usable]
         invertible = _supported_reference(sol, pairs)
@@ -204,7 +260,10 @@ def test_omega_identities_invert_once(sol, usable, monkeypatch):
     report = check_omega_identities(sol, 3)
     assert len(calls) == 1
     # the hatted symbols come from that one inversion, or are left out
+    calls.clear()
     assert report == check_omega_identities(sol, 3, symbols=usable)
+    # an explicit alphabet inverts once too, and only when it holds a hatted symbol
+    assert len(calls) == (1 if set(usable) & set(HATTED) else 0)
 
 
 def test_omega_identities_unsupported_explicit_symbol_raises():
@@ -212,13 +271,24 @@ def test_omega_identities_unsupported_explicit_symbol_raises():
         check_omega_identities(left_only3(), 1, symbols=(SIGMA, TAU, TAU_INV))
     with pytest.raises(SymbolUnavailable):
         check_omega_identities(left_only3(), 1, symbols=(SIGMA, SIGMA_HAT_INV))
+    # the first symbol in order that the solution lacks names the error,
+    # whatever the string hash seed
+    for symbols, message in (((TAU_INV, SIGMA_HAT), "tau_inv"), ((SIGMA_HAT, TAU_INV), "hatted")):
+        with pytest.raises(SymbolUnavailable, match=message):
+            check_omega_identities(left_only3(), 1, symbols=symbols)
+        with pytest.raises(SymbolUnavailable, match=message):
+            action_tables(left_only3(), symbols)
+        with pytest.raises(SymbolUnavailable, match=message):
+            permutational_levels(left_only3(), 1, symbols)
+        with pytest.raises(SymbolUnavailable, match=message):
+            omega_eval(left_only3(), symbols, 0, (0, 0))
 
 
-def test_handed_tower_maps_give_the_same_reports():
+def test_handed_tower_maps_give_the_same_reports(suite_populations):
     # the suite builds the {sigma, tau} maps once and hands them to both
     sols = [
-        *enumerate_solutions(2),
-        *enumerate_solutions(3, EnumFilter(require_left_nd=True)),
+        *suite_populations[2],
+        *suite_populations[3],
         lyubashenko3(), projection(3), left_only3(), z3group(),
     ]
     for sol in sols:
@@ -306,12 +376,8 @@ def _assert_matches_scan(sol, k_perm, k_red, alphabets):
             assert omega_eval(sol, word, x, zs) != omega_eval(sol, word[1:], zs[0], zs[1:])
 
 
-def test_deciders_match_scan_on_suite_populations():
-    sols = [
-        *enumerate_solutions(1),
-        *enumerate_solutions(2),
-        *enumerate_solutions(3, EnumFilter(require_left_nd=True)),
-    ]
+def test_deciders_match_scan_on_suite_populations(suite_populations):
+    sols = [*suite_populations[1], *suite_populations[2], *suite_populations[3]]
     assert len(sols) == 1 + 43 + 354
     for sol in sols:
         _assert_matches_scan(sol, 3, 4, [DEFAULT_ALPHABET])
@@ -320,9 +386,9 @@ def test_deciders_match_scan_on_suite_populations():
         _assert_matches_scan(sol, 3, 0, [FULL_ALPHABET, (SIGMA_INV, SIGMA_HAT_INV)])
 
 
-def test_deciders_match_scan_on_nondegenerate_n4():
+def test_deciders_match_scan_on_nondegenerate_n4(nd4_population):
     count = 0
-    for sol in enumerate_solutions(4, EnumFilter(require_nd=True)):
+    for sol in nd4_population:
         _assert_matches_scan(sol, 2, 2, [DEFAULT_ALPHABET])
         count += 1
     assert count == 1800
@@ -388,12 +454,9 @@ LEVEL_ALPHABETS = [DEFAULT_ALPHABET, FULL_ALPHABET, (SIGMA_INV, SIGMA_HAT_INV)]
 K_LEVELS = 4
 
 
-def _level_solutions():
-    sols = [
-        *enumerate_solutions(1),
-        *enumerate_solutions(2),
-        *enumerate_solutions(3, EnumFilter(require_left_nd=True)),
-    ]
+@pytest.fixture(scope="module")
+def level_solutions(suite_populations):
+    sols = [*suite_populations[1], *suite_populations[2], *suite_populations[3]]
     sols += [singleton(), projection(2), projection(3), left_only3(), lyubashenko3(),
              derived2(), z3group()]
     # two table pairs that break the braid relation: the deciders read tables only
@@ -402,8 +465,8 @@ def _level_solutions():
     return sols
 
 
-def test_all_levels_deciders_match_per_height_reference():
-    sols = _level_solutions()
+def test_all_levels_deciders_match_per_height_reference(level_solutions):
+    sols = level_solutions
     assert len(sols) == 1 + 43 + 354 + 7 + 2
     covered = {alphabet: 0 for alphabet in LEVEL_ALPHABETS}
     for sol in sols:
@@ -445,9 +508,9 @@ def test_all_levels_deciders_bounds():
         is_k_reductive(sol, 0)
 
 
-def test_reductive_inverse_start_matches_per_height_reference():
+def test_reductive_inverse_start_matches_per_height_reference(level_solutions):
     checked = 0
-    for sol in _level_solutions():
+    for sol in level_solutions:
         expected = {}
         for k in range(1, K_LEVELS + 1):
             try:
@@ -486,15 +549,15 @@ def _assert_levels_match_reference(sol, alphabets, height):
     return supported
 
 
-def test_tower_levels_keep_reference_order():
-    for sol in _level_solutions():
+def test_tower_levels_keep_reference_order(level_solutions):
+    for sol in level_solutions:
         alphabets = [*LEVEL_ALPHABETS, _suite_symbols(sol), tuple(reversed(_suite_symbols(sol)))]
         assert _assert_levels_match_reference(sol, alphabets, K_LEVELS) >= 3, sol
 
 
-def test_tower_levels_keep_reference_order_on_nondegenerate_n4():
+def test_tower_levels_keep_reference_order_on_nondegenerate_n4(nd4_population):
     count = 0
-    for sol in enumerate_solutions(4, EnumFilter(require_nd=True)):
+    for sol in nd4_population:
         alphabets = [*LEVEL_ALPHABETS, _suite_symbols(sol)]
         assert _assert_levels_match_reference(sol, alphabets, 3) == len(alphabets), sol
         count += 1
@@ -563,8 +626,8 @@ def _reference_omega_identities(sol, max_m, symbols=None):
 
     tables = action_tables(sol, DEFAULT_ALPHABET)
     levels = _reference_levels(tables, DEFAULT_ALPHABET, n, max_m - 1)
-    witness = sys.modules["yangbaxter.omega"]._permutational_witness
-    perm_level = next((k for k in range(max_m) if witness(levels, k) is None), None)
+    nonconstant = sys.modules["yangbaxter.omega"]._first_nonconstant
+    perm_level = next((k for k in range(max_m) if nonconstant(levels, k) is None), None)
     report["permutational_level_bound"] = perm_level
     if perm_level is not None:
         for k in range(perm_level, max_m):
@@ -589,12 +652,8 @@ def _suite_symbols(sol):
     return tuple(symbols)
 
 
-def test_omega_identities_match_scalar_fold_reference_on_suite_populations():
-    sols = [
-        *enumerate_solutions(1),
-        *enumerate_solutions(2),
-        *enumerate_solutions(3, EnumFilter(require_left_nd=True)),
-    ]
+def test_omega_identities_match_scalar_fold_reference_on_suite_populations(suite_populations):
+    sols = [*suite_populations[1], *suite_populations[2], *suite_populations[3]]
     assert len(sols) == 1 + 43 + 354
     for sol in sols:
         for symbols in (_suite_symbols(sol), None):
@@ -602,9 +661,9 @@ def test_omega_identities_match_scalar_fold_reference_on_suite_populations():
             assert check_omega_identities(sol, 3, symbols=symbols) == expected, (sol, symbols)
 
 
-def test_omega_identities_match_scalar_fold_reference_on_nondegenerate_n4():
+def test_omega_identities_match_scalar_fold_reference_on_nondegenerate_n4(nd4_population):
     count = 0
-    for sol in enumerate_solutions(4, EnumFilter(require_nd=True)):
+    for sol in nd4_population:
         assert check_omega_identities(sol, 2) == _reference_omega_identities(sol, 2), sol
         count += 1
     assert count == 1800
@@ -629,7 +688,7 @@ def _one_level_early(real):
     "hooked, corrupt, entry",
     [
         ("_inverse_rows", _shift_first_row, "inverse_shift_m1"),
-        ("_permutational_witness", _one_level_early, "drop_base_k0"),
+        ("_first_nonconstant", _one_level_early, "drop_base_k0"),
     ],
     ids=["inverse_shift", "drop_base"],
 )

@@ -6,7 +6,6 @@ from yangbaxter import (
     ALL_SYMBOLS,
     CompatibilityError,
     DomainError,
-    EnumFilter,
     FiniteSolution,
     NotLeftNondegenerate,
     NotNondegenerate,
@@ -17,7 +16,6 @@ from yangbaxter import (
     check_relation_coincidence,
     check_retract,
     check_retract_duality,
-    enumerate_solutions,
     is_irretractable,
     is_trivial,
     mpl,
@@ -88,13 +86,9 @@ def _compatibility_scan(table, partition):
     return None
 
 
-def test_compatibility_witness_matches_full_scan():
+def test_compatibility_witness_matches_full_scan(suite_populations):
     # the suite populations up to n = 3, against every partition of the carrier
-    population = [
-        *enumerate_solutions(1),
-        *enumerate_solutions(2),
-        *enumerate_solutions(3, EnumFilter(require_left_nd=True)),
-    ]
+    population = [*suite_populations[1], *suite_populations[2], *suite_populations[3]]
     partitions = {
         n: {Partition.from_keys(keys) for keys in product(range(n), repeat=n)}
         for n in (1, 2, 3)
@@ -224,13 +218,13 @@ def _outcome(fn, sol):
         return type(exc), str(exc)
 
 
-def test_tower_views_match_the_per_height_loops():
+def test_tower_views_match_the_per_height_loops(suite_populations, nd4_population):
     # the suite populations up to n = 3, the n = 4 nd population and the fixtures
     sols = [
-        *enumerate_solutions(1),
-        *enumerate_solutions(2),
-        *enumerate_solutions(3, EnumFilter(require_left_nd=True)),
-        *enumerate_solutions(4, EnumFilter(require_nd=True)),
+        *suite_populations[1],
+        *suite_populations[2],
+        *suite_populations[3],
+        *nd4_population,
         singleton(), projection(2), projection(3), left_only3(), lyubashenko3(),
         derived2(), z3group(),
     ]
