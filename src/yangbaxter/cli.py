@@ -26,7 +26,7 @@ from .omega import (
 from .orbits import orbit_decomposition
 from .qcycle import from_solution, is_regular, qcycle_diagonals, to_solution, validate_qcycle
 from .retract import Partition, mpl, mpl_prime, retract, retract_levels, retract_tower
-from .search import EnumFilter, census, check_frozen_census, enumerate_solutions
+from .search import EnumFilter, census, enumerate_solutions
 from .suite import theorem_suite
 
 EXIT_OK = 0
@@ -238,16 +238,14 @@ def cmd_enumerate(args):
         }
         status = EXIT_OK
         if args.check_frozen:
-            mismatch = check_frozen_census(args.n, filt, result)
-            frozen = search.load_frozen_census()
-            if (args.n, filt.signature()) not in frozen:
+            expected = search.load_frozen_census().get((args.n, filt.signature()))
+            if expected is None:
                 report["frozen"] = "cell not frozen"
-            elif mismatch is None:
+            elif expected == result:
                 report["frozen"] = "match"
             else:
                 report["frozen"] = (
-                    f"MISMATCH expected raw={mismatch['expected'].raw} "
-                    f"iso={mismatch['expected'].iso}"
+                    f"MISMATCH expected raw={expected.raw} iso={expected.iso}"
                 )
                 status = EXIT_MATH
         _emit(report, args.json)

@@ -97,6 +97,8 @@ def load_document(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} nests too deeply to decode: {exc}") from exc
     return parse_document(doc)
 
 

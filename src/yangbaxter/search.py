@@ -8,16 +8,20 @@ Two independent routes produce the same populations:
   sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)}, reads the right table
   only at the cell tau[y][x], so the left table alone decides which values
   that cell may take: the t whose row sigma_t solves
-  sigma_{sigma_x(y)} p = sigma_x sigma_y.  The left rows are placed one at
-  a time.  A cell whose rows x, y and sigma_x(y) are placed, but which no
-  placed row serves, needs one of the rows still to come; a prefix is cut
-  when such a cell allows no row at all, when no row is left, or when the
-  cells that need one single row need more distinct rows than are left.  So
-  every left table that reaches the right-table search gives each cell
-  some value.  The right-table search walks each cell's allowed values in
-  row-major order.  Each instance of the second and third components sits
-  on the watch list of a cell it reads and is checked once, when the last
-  cell it reads is placed; the search backtracks on the first violation.
+  sigma_{sigma_x(y)} p = sigma_x sigma_y.  Both sides are lookups in the
+  product table of the row options, ``derived._products`` (the table the
+  rack route reads), and in its fibres: for each row, the rows grouped by
+  their product with it.  The left rows are placed one at a time by
+  ``derived._row_tables``.  A cell whose rows x, y and sigma_x(y) are
+  placed, but which no placed row serves, needs one of the rows still to
+  come; a prefix is cut when such a cell allows no row at all, when no row
+  is left, or when the cells that need one single row need more distinct
+  rows than are left.  So every left table that reaches the right-table
+  search gives each cell some value.  The right-table search walks each
+  cell's allowed values in row-major order.  Each instance of the second
+  and third components sits on the watch list of a cell it reads and is
+  checked once, when the last cell it reads is placed; the search
+  backtracks on the first violation.
 
 * ``oracle_enumerate`` is the deliberately unpruned cross-check: a full scan
   of every candidate table pair, testing the braid relation by literal
@@ -52,7 +56,7 @@ production count that diverges from a frozen one.
 
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import permutations, product
 from math import factorial
@@ -68,28 +72,11 @@ from .core import (
     perm_inverse,
     square_free_witness,
 )
-from .derived import _row_tables, rack_classes, solutions as rack_solutions
+from .derived import _products, _row_tables, rack_classes, solutions as rack_solutions
 from .errors import ParseError, SizeTooLarge
 
 MAX_N_UNRESTRICTED = 3
 MAX_N_NONDEGENERATE = 4
-
-_FLAG_ORDER = (
-    "require_left_nd",
-    "require_right_nd",
-    "require_nd",
-    "require_bijective",
-    "require_involutive",
-    "require_square_free",
-)
-_FLAG_LABELS = {
-    "require_left_nd": "left_nd",
-    "require_right_nd": "right_nd",
-    "require_nd": "nd",
-    "require_bijective": "bijective",
-    "require_involutive": "involutive",
-    "require_square_free": "square_free",
-}
 
 
 @dataclass(frozen=True)
@@ -110,21 +97,30 @@ class EnumFilter:
     def right_rows_permutations(self):
         return self.require_right_nd or self.require_nd
 
+    @staticmethod
+    def _labels():
+        """The census-cell label of each require_ field, the field's name
+        without the prefix, mapped to the field's name, in field order."""
+        return {
+            f.name.removeprefix("require_"): f.name
+            for f in fields(EnumFilter)
+            if f.name.startswith("require_")
+        }
+
     def signature(self):
         """Canonical census-cell label; up_to_iso is not part of the cell
         because every census records both raw and iso counts."""
-        names = [_FLAG_LABELS[f] for f in _FLAG_ORDER if getattr(self, f)]
+        names = [label for label, name in self._labels().items() if getattr(self, name)]
         return "+".join(names) if names else "none"
 
     @staticmethod
     def from_signature(sig):
-        labels = {} if sig == "none" else {part: True for part in sig.split("+")}
+        names = EnumFilter._labels()
         kwargs = {}
-        reverse = {v: k for k, v in _FLAG_LABELS.items()}
-        for label in labels:
-            if label not in reverse:
+        for label in [] if sig == "none" else sig.split("+"):
+            if label not in names:
                 raise ParseError(f"unknown filter label {label!r}")
-            kwargs[reverse[label]] = True
+            kwargs[names[label]] = True
         return EnumFilter(**kwargs)
 
 
@@ -168,90 +164,79 @@ def _passes(sol, filt):
     return True
 
 
-class _FirstComponent:
-    """Braid component 1, sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)},
-    decided on the left table alone.
+def _fibres(products):
+    """For each row i of a product table, the positions j grouped by their
+    product with it: entry [i][c] is the set of j with products[i][j] == c."""
+    fibres = []
+    for row in products:
+        groups = [set() for _ in row]
+        for j, c in enumerate(row):
+            groups[c].add(j)
+        fibres.append([frozenset(group) for group in groups])
+    return fibres
 
-    The component reads the right table only at the cell tau[y][x], so that
-    cell may hold t exactly when the row sigma_t solves
-    sigma_{sigma_x(y)} p = sigma_x sigma_y.  Rows are named by their
-    positions in the row options, which are closed under composition;
-    compositions and solution sets are cached per pair of positions, for the
-    rows of one stream.
+
+def _cell_values(sigma, ids, products, fibres):
+    """The values braid component 1 allows in each right-table cell, in
+    row-major cell order; ids are the positions of sigma's rows in the row
+    options, products and fibres their tables.
+
+    The cell tau[y][x] may hold t exactly when sigma_t is in the fibre of
+    sigma_x sigma_y under p -> sigma_{sigma_x(y)} p.
     """
+    n = len(sigma)
+    cells = []
+    for y, x in product(range(n), repeat=2):
+        fibre = fibres[ids[sigma[x][y]]][products[ids[x]][ids[y]]]
+        cells.append([t for t in range(n) if ids[t] in fibre])
+    return cells
 
-    def __init__(self, row_opts):
-        self._row_opts = row_opts
-        self._index = {row: i for i, row in enumerate(row_opts)}
-        self._composed = {}
-        self._solutions = {}
 
-    def solution_rows(self, sigma, ids, x, y):
-        """The positions of the left rows p with
-        sigma_{sigma_x(y)} p = sigma_x sigma_y; ids are the positions of
-        sigma's rows."""
-        key = (ids[x], ids[y])
-        comp = self._composed.get(key)
-        if comp is None:
-            outer, inner = sigma[x], sigma[y]
-            comp = self._composed[key] = self._index[tuple(outer[v] for v in inner)]
-        key = (ids[sigma[x][y]], comp)
-        rows = self._solutions.get(key)
-        if rows is None:
-            outer, target = sigma[sigma[x][y]], self._row_opts[comp]
-            rows = self._solutions[key] = frozenset(
-                i
-                for i, p in enumerate(self._row_opts)
-                if all(outer[v] == w for v, w in zip(p, target))
-            )
-        return rows
+def _left_tables(n, rows, heads):
+    """The left tables with rows in rows and first row in heads, in
+    lexicographic order, whose every right-table cell allows some value,
+    each with those values (see _cell_values); rows are closed under
+    composition.
 
-    def left_tables(self, n, heads):
-        """Left tables with the given first rows, in lexicographic order,
-        whose every right-table cell allows some value.
+    A pair (x, y) whose rows x, y and sigma_x(y) are placed fixes the
+    solution rows of the cell tau[y][x]; when none of them is placed, the
+    cell needs one of the rows still to place.  A prefix is cut when such a
+    cell has no solution row, when no row is left to place, or when the
+    cells that need one single row need more distinct rows than are left.
+    """
+    products = _products(rows)
+    fibres = _fibres(products)
+    # the needs still open once rows 0..k are placed, for the current
+    # prefix: the search is depth-first, so row k + 1 reads needs[k]
+    needs = [()] * n
+    placed = None
 
-        A pair (x, y) whose rows x, y and sigma_x(y) are placed fixes the
-        solution rows of the cell tau[y][x]; when none of them is placed,
-        the cell needs one of the rows still to place.  A prefix is cut when
-        such a cell has no solution row, when no row is left to place, or
-        when the cells that need one single row need more distinct rows than
-        are left.
-        """
-        # the needs still open once rows 0..k are placed, for the current
-        # prefix: the search is depth-first, so row k + 1 reads needs[k]
-        needs = [()] * n
+    def holds(sigma, ids, k):
+        nonlocal placed
+        placed = ids
+        left = n - 1 - k
+        unmet = [need for need in (needs[k - 1] if k else ()) if ids[k] not in need]
+        if unmet and not left:
+            return False
+        # the pairs whose rows x, y and sigma_x(y) row k completes
+        for x in range(k + 1):
+            row, after = sigma[x], products[ids[x]]
+            for y in range(k + 1):
+                w = row[y]
+                if w > k or (w < k and x < k and y < k):
+                    continue
+                need = fibres[ids[w]][after[ids[y]]]
+                if need.isdisjoint(ids):
+                    if not left or not need:
+                        return False
+                    unmet.append(need)
+        needs[k] = unmet
+        return len({i for need in unmet if len(need) == 1 for i in need}) <= left
 
-        def holds(sigma, ids, k):
-            left = n - 1 - k
-            unmet = [rows for rows in (needs[k - 1] if k else ()) if ids[k] not in rows]
-            if unmet and not left:
-                return False
-            # the pairs whose rows x, y and sigma_x(y) row k completes
-            for x in range(k + 1):
-                row = sigma[x]
-                for y in range(k + 1):
-                    w = row[y]
-                    if w > k or (w < k and x < k and y < k):
-                        continue
-                    rows = self.solution_rows(sigma, ids, x, y)
-                    if rows.isdisjoint(ids):
-                        if not left or not rows:
-                            return False
-                        unmet.append(rows)
-            needs[k] = unmet
-            return len({i for rows in unmet if len(rows) == 1 for i in rows}) <= left
-
-        return _row_tables(n, self._row_opts, heads, holds)
-
-    def cell_values(self, sigma):
-        """The values component 1 allows in each right-table cell, in
-        row-major cell order."""
-        n = len(sigma)
-        ids = [self._index[row] for row in sigma]
-        return [
-            [t for t in range(n) if ids[t] in self.solution_rows(sigma, ids, x, y)]
-            for y, x in product(range(n), repeat=2)
-        ]
+    for sigma in _row_tables(n, rows, heads, holds):
+        # _row_tables yields each table right after holds accepted its last
+        # row, so placed still lists the table's ids
+        yield sigma, _cell_values(sigma, placed, products, fibres)
 
 
 def _tau_completions(n, sigma, cells, right_perms):
@@ -341,10 +326,9 @@ def _tau_completions(n, sigma, cells, right_perms):
 
 def _raw_stream(n, filt, heads):
     """The solutions whose head row sigma_0 is one of heads, in
-    lexicographic order; one component-1 cache serves all the heads."""
-    first = _FirstComponent(_row_options(n, filt.left_rows_permutations))
-    for sigma in first.left_tables(n, heads):
-        cells = first.cell_values(sigma)
+    lexicographic order."""
+    rows = _row_options(n, filt.left_rows_permutations)
+    for sigma, cells in _left_tables(n, rows, heads):
         for tau in _tau_completions(n, sigma, cells, filt.right_rows_permutations):
             sol = FiniteSolution(sigma, tau)
             if _passes(sol, filt):

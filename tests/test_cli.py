@@ -161,6 +161,18 @@ def test_validate_not_utf8_exits_2(tmp_path, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_over_deep_json_exits_2_without_traceback(command, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-m", "yangbaxter.cli", command, str(deep)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert "ParseError" in run.stderr and "nests too deeply" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def test_validate_qcycle_document(capsys):
     assert main(["validate", str(fixture_path("qcycle_constant.json"))]) == 0
     assert "regular: False" in capsys.readouterr().out
@@ -290,6 +302,22 @@ def test_enumerate_census_check_frozen(capsys):
     out = capsys.readouterr().out
     assert "raw: 4" in out
     assert "match" in out
+
+
+def test_enumerate_check_frozen_cell_not_frozen(capsys):
+    assert (2, "nd+bijective") not in search.load_frozen_census()
+    assert main(["enumerate", "2", "--nd", "--bijective", "--check-frozen", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["frozen"] == "cell not frozen"
+
+
+def test_enumerate_check_frozen_mismatch_exits_1(monkeypatch, capsys):
+    frozen = search.load_frozen_census()
+    frozen[(2, "nd")] = search.CensusResult(raw=5, iso=4)
+    monkeypatch.setattr(search, "load_frozen_census", lambda: frozen)
+    assert main(["enumerate", "2", "--nd", "--check-frozen", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["raw"], report["iso"]) == (4, 4)
+    assert report["frozen"] == "MISMATCH expected raw=5 iso=4"
 
 
 def test_enumerate_census_left_nd_n3(capsys):

@@ -89,6 +89,13 @@ def test_unreadable_file(tmp_path):
         load_document(bad)
 
 
+def test_over_deep_json_is_a_parse_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ParseError, match="nests too deeply"):
+        load_document(deep)
+
+
 def test_shipped_fixture_documents_match_builders():
     kind, obj, labels = load_document(fixture_path("left_only3.json"))
     assert kind == "solution" and obj == left_only3() and labels == ("a", "b", "c")

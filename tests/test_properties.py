@@ -1,34 +1,18 @@
 """Property tests: what the tower deciders and the identity battery say about a
 solution does not depend on how its carrier is labeled."""
 
-import functools
-
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from yangbaxter import EnumFilter, check_omega_identities, enumerate_solutions, relabel, tower_verdicts
+from yangbaxter import check_omega_identities, relabel, tower_verdicts
 from yangbaxter.suite import K_PERM_MAX, K_RED_MAX
-
-# the suite's populations at n <= 3, and the non-degenerate one at n = 4
-POPULATIONS = {
-    "n1": (1, EnumFilter()),
-    "n2": (2, EnumFilter()),
-    "n3 left_nd": (3, EnumFilter(require_left_nd=True)),
-    "n4 nd": (4, EnumFilter(require_nd=True)),
-}
-
-
-@functools.cache
-def _population(name):
-    n, filt = POPULATIONS[name]
-    return tuple(enumerate_solutions(n, filt))
 
 
 @st.composite
-def relabeled_solutions(draw):
-    sol = draw(st.sampled_from(_population(draw(st.sampled_from(sorted(POPULATIONS))))))
+def relabeled_solutions(draw, populations):
+    sol = draw(st.sampled_from(populations[draw(st.sampled_from(sorted(populations)))]))
     pi = tuple(draw(st.permutations(range(sol.n))))
     return sol, relabel(sol, pi)
 
@@ -38,9 +22,16 @@ def _holds(verdicts):
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(relabeled_solutions())
-def test_tower_verdicts_and_identities_survive_relabeling(pair):
-    sol, image = pair
+@given(st.data())
+def test_tower_verdicts_and_identities_survive_relabeling(suite_populations, nd4_population, data):
+    # the suite's populations at n <= 3 and the non-degenerate one at n = 4
+    populations = {
+        "n1": suite_populations[1],
+        "n2": suite_populations[2],
+        "n3 left_nd": suite_populations[3],
+        "n4 nd": nd4_population,
+    }
+    sol, image = data.draw(relabeled_solutions(populations))
     assert _holds(tower_verdicts(image, K_PERM_MAX, K_RED_MAX)) == _holds(
         tower_verdicts(sol, K_PERM_MAX, K_RED_MAX)
     )

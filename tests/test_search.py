@@ -8,6 +8,7 @@ import pytest
 
 from yangbaxter import (
     EnumFilter,
+    ParseError,
     SizeTooLarge,
     census,
     canonical_form,
@@ -168,10 +169,8 @@ def _reference_tau_completions(n, sigma, cells, right_perms):
 def test_watch_lists_match_full_rescan_n3(right_perms):
     # every n = 3 left table that component 1 admits
     rows = list(product(range(3), repeat=3))
-    first = search._FirstComponent(rows)
     admitted = completions = 0
-    for sigma in first.left_tables(3, rows):
-        cells = first.cell_values(sigma)
+    for sigma, cells in search._left_tables(3, rows, rows):
         assert all(cells), sigma
         admitted += 1
         expected = list(_reference_tau_completions(3, sigma, cells, right_perms))
@@ -212,8 +211,7 @@ def test_left_tables_match_the_product_route_n4():
     # the row backtracker keeps exactly the tables of the former route that
     # leave no right-table cell empty
     rows = search._row_options(4, True)
-    first = search._FirstComponent(rows)
-    tables = list(first.left_tables(4, rows))
+    tables = list(search._left_tables(4, rows, rows))
     former = list(_product_left_tables(4, rows))
     full = [
         sigma
@@ -221,8 +219,8 @@ def test_left_tables_match_the_product_route_n4():
         if all(_component1_values(sigma, x, y) for x, y in product(range(4), repeat=2))
     ]
     assert len(former) == 13104 and len(full) == 1656
-    assert tables == full
-    assert all(all(first.cell_values(sigma)) for sigma in tables)
+    assert [sigma for sigma, _ in tables] == full
+    assert all(all(cells) for _, cells in tables)
 
 
 def test_nd4_stream_is_pinned():
@@ -527,3 +525,13 @@ def test_size_limits(monkeypatch):
 def test_filter_signature_round_trip():
     for n, sig in FROZEN_CELLS:
         assert EnumFilter.from_signature(sig).signature() == sig
+    # every combination of the six flags, labelled in field order
+    labels = ("left_nd", "right_nd", "nd", "bijective", "involutive", "square_free")
+    for flags in product([False, True], repeat=len(labels)):
+        filt = EnumFilter(*flags)
+        sig = "+".join(label for label, on in zip(labels, flags) if on) or "none"
+        assert filt.signature() == sig
+        assert EnumFilter.from_signature(sig) == filt
+    for sig in ("left-nd", "nd+iso", "", "none+nd"):
+        with pytest.raises(ParseError):
+            EnumFilter.from_signature(sig)
