@@ -102,18 +102,6 @@ def _emit(report, as_json):
             print(f"{key}: {value}")
 
 
-def _filter_from_args(args):
-    return EnumFilter(
-        require_left_nd=args.left_nd,
-        require_right_nd=args.right_nd,
-        require_nd=args.nd,
-        require_bijective=args.bijective,
-        require_involutive=args.involutive,
-        require_square_free=args.square_free,
-        up_to_iso=args.iso,
-    )
-
-
 def cmd_validate(args):
     kind, obj, labels = load_document(args.path)
     report = {"kind": kind, "n": obj.n}
@@ -121,21 +109,13 @@ def cmd_validate(args):
         report["labels"] = list(labels)
     if kind == "solution":
         violations = validate_braid(obj)
-        if violations:
-            report["braid_violations"] = violations
-            _emit(report, args.json)
-            return EXIT_MATH
-        report.update(properties(obj).as_dict())
-        _emit(report, args.json)
-        return EXIT_OK
-    violations = validate_qcycle(obj)
-    if violations:
-        report["axiom_violations"] = violations
-        _emit(report, args.json)
-        return EXIT_MATH
-    report["regular"] = is_regular(obj)
+        found = {"braid_violations": violations} if violations else properties(obj).as_dict()
+    else:
+        violations = validate_qcycle(obj)
+        found = {"axiom_violations": violations} if violations else {"regular": is_regular(obj)}
+    report.update(found)
     _emit(report, args.json)
-    return EXIT_OK
+    return EXIT_MATH if violations else EXIT_OK
 
 
 def cmd_analyze(args):
@@ -218,9 +198,9 @@ def cmd_analyze(args):
 
 
 def cmd_enumerate(args):
-    if args.workers < 1:
-        raise InputError(f"--workers must be >= 1, got {args.workers}")
-    filt = _filter_from_args(args)
+    filt = EnumFilter(
+        up_to_iso=args.iso, **{name: getattr(args, name) for name in EnumFilter.labels().values()}
+    )
     # an out-of-reach size exits before --out leaves a directory behind
     search._check_bounds(args.n, filt)
     if args.out is not None:
@@ -228,6 +208,7 @@ def cmd_enumerate(args):
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise InputError(f"cannot use --out {args.out}: {exc}") from exc
+    status = EXIT_OK
     if args.census or args.check_frozen:
         result = census(args.n, filt, workers=args.workers)
         report = {
@@ -236,23 +217,11 @@ def cmd_enumerate(args):
             "raw": result.raw,
             "iso": result.iso,
         }
-        status = EXIT_OK
         if args.check_frozen:
-            expected = search.load_frozen_census().get((args.n, filt.signature()))
-            if expected is None:
-                report["frozen"] = "cell not frozen"
-            elif expected == result:
-                report["frozen"] = "match"
-            else:
-                report["frozen"] = (
-                    f"MISMATCH expected raw={expected.raw} iso={expected.iso}"
-                )
+            report["frozen"] = search.check_frozen_census(args.n, filt, result)
+            if report["frozen"].startswith("MISMATCH"):
                 status = EXIT_MATH
         _emit(report, args.json)
-        if args.out is None:
-            return status
-    else:
-        status = EXIT_OK
     if args.out is not None:
         count = 0
         for i, sol in enumerate(enumerate_solutions(args.n, filt, workers=args.workers)):
@@ -271,8 +240,6 @@ def cmd_enumerate(args):
 
 
 def cmd_suite(args):
-    if args.workers < 1:
-        raise InputError(f"--workers must be >= 1, got {args.workers}")
     report = theorem_suite(args.n_max, workers=args.workers)
     if args.json:
         payload = {
@@ -333,12 +300,8 @@ def build_parser():
     p = sub.add_parser("enumerate", help="stream, count or dump all solutions of size n")
     p.add_argument("n", type=int)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--nd", action="store_true")
-    p.add_argument("--left-nd", dest="left_nd", action="store_true")
-    p.add_argument("--right-nd", dest="right_nd", action="store_true")
-    p.add_argument("--bijective", action="store_true")
-    p.add_argument("--involutive", action="store_true")
-    p.add_argument("--square-free", dest="square_free", action="store_true")
+    for label, name in EnumFilter.labels().items():
+        p.add_argument("--" + label.replace("_", "-"), dest=name, action="store_true")
     p.add_argument("--iso", action="store_true", help="one representative per isomorphism class")
     p.add_argument("--census", action="store_true", help="print raw and iso counts only")
     p.add_argument("--check-frozen", dest="check_frozen", action="store_true",
@@ -360,6 +323,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # enumerate and suite take --workers
+        if getattr(args, "workers", 1) < 1:
+            raise InputError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except InputError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

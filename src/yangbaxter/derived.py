@@ -35,23 +35,24 @@ from .core import (
 )
 
 
-def _products(group):
-    """The product table of a list of permutations closed under composition:
-    entry [i][j] is the index of group[i] group[j] (group[j] acts first)."""
-    index = {row: i for i, row in enumerate(group)}
-    return [[index[tuple(a[v] for v in b)] for b in group] for a in group]
+def _products(maps):
+    """The product table of a list of maps closed under composition, such as
+    a group of permutations or all n^n maps: entry [i][j] is the index of
+    maps[i] maps[j] (maps[j] acts first)."""
+    index = {row: i for i, row in enumerate(maps)}
+    return [[index[tuple(a[v] for v in b)] for b in maps] for a in maps]
 
 
 def _row_tables(n, group, heads, holds):
     """The n-row tables with rows in group and row 0 in heads, in order, for
-    which holds(rows, ids, k) accepts every prefix of rows 0..k; ids are
-    the rows' positions in group."""
+    which holds(rows, ids, k) accepts every prefix of rows 0..k, each with
+    its ids; ids are the rows' positions in group."""
     index = {row: i for i, row in enumerate(group)}
     rows, ids = [], []
 
     def place(k):
         if k == n:
-            yield tuple(rows)
+            yield tuple(rows), tuple(ids)
             return
         for row in heads if k == 0 else group:
             rows.append(row)
@@ -86,7 +87,7 @@ def labeled_racks(n):
                     return False
         return True
 
-    return _row_tables(n, perms, perms, holds)
+    return (op for op, _ in _row_tables(n, perms, perms, holds))
 
 
 def rack_classes(n):
@@ -149,7 +150,7 @@ def solutions(rack, automorphisms, heads):
                     return False
         return True
 
-    for sigma in _row_tables(len(rack), automorphisms, heads, holds):
+    for sigma, _ in _row_tables(len(rack), automorphisms, heads, holds):
         sol = FiniteSolution(sigma, right_table(rack, sigma))
         if right_nondegenerate(sol) and not validate_braid(sol):
             yield sol

@@ -16,30 +16,21 @@ from .qcycle import QCycleSet
 FORMAT_VERSION = 1
 
 
-def solution_to_document(sol, labels=None):
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "solution",
-        "n": sol.n,
-        "sigma": [list(row) for row in sol.sigma],
-        "tau": [list(row) for row in sol.tau],
-    }
+def _document(kind, n, labels, **tables):
+    doc = {"format_version": FORMAT_VERSION, "kind": kind, "n": n}
+    for name, table in tables.items():
+        doc[name] = [list(row) for row in table]
     if labels is not None:
         doc["labels"] = list(labels)
     return doc
+
+
+def solution_to_document(sol, labels=None):
+    return _document("solution", sol.n, labels, sigma=sol.sigma, tau=sol.tau)
 
 
 def qcycle_to_document(q, labels=None):
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "qcycle",
-        "n": q.n,
-        "dot": [list(row) for row in q.dot],
-        "colon": [list(row) for row in q.colon],
-    }
-    if labels is not None:
-        doc["labels"] = list(labels)
-    return doc
+    return _document("qcycle", q.n, labels, dot=q.dot, colon=q.colon)
 
 
 def _table_field(doc, name, n):

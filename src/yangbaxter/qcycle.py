@@ -109,7 +109,9 @@ def check_qcycle_correspondence(sol, q):
     """Where q = from_solution(sol) breaks the correspondence (expected none).
 
     Lists (name, point) pairs: the axiom violations of q; the braid
-    violations and degenerate left rows of to_solution(q); and, when the
+    violations and degenerate left rows of back = to_solution(q); the two
+    round trips, with back as the point, when back is not sol or when back
+    is left non-degenerate and from_solution(back) is not q; and, when the
     pair map of sol is bijective, the colon rows of q that do not invert the
     left rows of the inverse solution.
     """
@@ -118,9 +120,12 @@ def check_qcycle_correspondence(sol, q):
         return failures
     back = _solution_of(q)
     failures.extend(("solution_braid", v) for v in validate_braid(back))
-    failures.extend(
-        ("solution_left_row", x) for x in range(back.n) if not is_permutation(back.sigma[x])
-    )
+    degenerate = [x for x in range(back.n) if not is_permutation(back.sigma[x])]
+    failures.extend(("solution_left_row", x) for x in degenerate)
+    if back != sol:
+        failures.append(("solution_round_trip", back))
+    if not degenerate and from_solution(back) != q:
+        failures.append(("qcycle_round_trip", back))
     try:
         inv = invert(sol)
     except NotBijective:

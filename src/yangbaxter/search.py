@@ -98,9 +98,10 @@ class EnumFilter:
         return self.require_right_nd or self.require_nd
 
     @staticmethod
-    def _labels():
+    def labels():
         """The census-cell label of each require_ field, the field's name
-        without the prefix, mapped to the field's name, in field order."""
+        without the prefix, mapped to the field's name, in field order; the
+        command line's filter flags are these labels."""
         return {
             f.name.removeprefix("require_"): f.name
             for f in fields(EnumFilter)
@@ -110,12 +111,12 @@ class EnumFilter:
     def signature(self):
         """Canonical census-cell label; up_to_iso is not part of the cell
         because every census records both raw and iso counts."""
-        names = [label for label, name in self._labels().items() if getattr(self, name)]
+        names = [label for label, name in self.labels().items() if getattr(self, name)]
         return "+".join(names) if names else "none"
 
     @staticmethod
     def from_signature(sig):
-        names = EnumFilter._labels()
+        names = EnumFilter.labels()
         kwargs = {}
         for label in [] if sig == "none" else sig.split("+"):
             if label not in names:
@@ -209,11 +210,8 @@ def _left_tables(n, rows, heads):
     # the needs still open once rows 0..k are placed, for the current
     # prefix: the search is depth-first, so row k + 1 reads needs[k]
     needs = [()] * n
-    placed = None
 
     def holds(sigma, ids, k):
-        nonlocal placed
-        placed = ids
         left = n - 1 - k
         unmet = [need for need in (needs[k - 1] if k else ()) if ids[k] not in need]
         if unmet and not left:
@@ -233,10 +231,8 @@ def _left_tables(n, rows, heads):
         needs[k] = unmet
         return len({i for need in unmet if len(need) == 1 for i in need}) <= left
 
-    for sigma in _row_tables(n, rows, heads, holds):
-        # _row_tables yields each table right after holds accepted its last
-        # row, so placed still lists the table's ids
-        yield sigma, _cell_values(sigma, placed, products, fibres)
+    for sigma, ids in _row_tables(n, rows, heads, holds):
+        yield sigma, _cell_values(sigma, ids, products, fibres)
 
 
 def _tau_completions(n, sigma, cells, right_perms):
@@ -640,17 +636,11 @@ def load_frozen_census():
 
 
 def check_frozen_census(n, filt, result):
-    """None when the cell matches the frozen file (or is not frozen there),
-    otherwise a mismatch description."""
-    frozen = load_frozen_census()
-    key = (n, filt.signature())
-    if key not in frozen:
-        return None
-    expected = frozen[key]
-    if expected == CensusResult(raw=result.raw, iso=result.iso):
-        return None
-    return {
-        "cell": key,
-        "expected": expected,
-        "got": CensusResult(raw=result.raw, iso=result.iso),
-    }
+    """The verdict on a census result from its cell of the frozen file:
+    "match", "cell not frozen", or "MISMATCH expected raw=R iso=I"."""
+    expected = load_frozen_census().get((n, filt.signature()))
+    if expected is None:
+        return "cell not frozen"
+    if expected == result:
+        return "match"
+    return f"MISMATCH expected raw={expected.raw} iso={expected.iso}"

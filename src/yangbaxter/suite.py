@@ -53,7 +53,6 @@ from .qcycle import (
     from_solution,
     is_regular,
     qcycle_diagonals,
-    to_solution,
 )
 from .retract import (
     check_compatibility,
@@ -203,13 +202,9 @@ def _check_left_nd(sol, report, props):
             )
 
     q = from_solution(sol)
-    bad = [_payload(sol, f) for f in check_qcycle_correspondence(sol, q)]
-    back = to_solution(q)
-    if back != sol:
-        bad.append(_payload(sol, "solution round trip broke"))
-    if from_solution(back) != q:
-        bad.append(_payload(sol, "q-cycle round trip broke"))
-    report.record("qcycle_round_trip", bad)
+    report.record(
+        "qcycle_round_trip", [_payload(sol, f) for f in check_qcycle_correspondence(sol, q)]
+    )
 
     U, U_hat, commute_failures = qcycle_diagonals(q)
     d = diagonal_maps(sol)

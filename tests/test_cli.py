@@ -320,6 +320,13 @@ def test_enumerate_check_frozen_mismatch_exits_1(monkeypatch, capsys):
     assert report["frozen"] == "MISMATCH expected raw=5 iso=4"
 
 
+@pytest.mark.parametrize("label", list(EnumFilter.labels()))
+def test_enumerate_filter_flag_reports_its_label(label, capsys):
+    # the filter flags are made from the EnumFilter labels
+    assert main(["enumerate", "2", "--" + label.replace("_", "-"), "--census", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["filter"] == label
+
+
 def test_enumerate_census_left_nd_n3(capsys):
     assert main(["enumerate", "3", "--left-nd", "--census", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)

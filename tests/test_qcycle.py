@@ -48,10 +48,13 @@ def test_perturbed_colon_breaks_axioms():
 
 
 def test_correspondence_check_flags_a_foreign_qcycle():
-    # a valid q-cycle set, but its colon rows invert the identity, not the
-    # inverted-solution left rows of the 3-cycle solution
+    # a valid q-cycle set, but it translates back to the projection, and its
+    # colon rows invert the identity, not the inverted-solution left rows of
+    # the 3-cycle solution
     bad = check_qcycle_correspondence(lyubashenko3(), from_solution(projection(3)))
-    assert bad == [("colon_inverts_hat_row", x) for x in range(3)]
+    assert bad == [("solution_round_trip", projection(3))] + [
+        ("colon_inverts_hat_row", x) for x in range(3)
+    ]
 
 
 def test_to_solution_rejects_invalid():

@@ -287,7 +287,17 @@ def test_all_frozen_cells_reproduce():
     for n, sig in FROZEN_CELLS:
         filt = EnumFilter.from_signature(sig)
         result = census(n, filt)
-        assert check_frozen_census(n, filt, result) is None, (n, sig, result)
+        assert check_frozen_census(n, filt, result) == "match", (n, sig, result)
+
+
+def test_check_frozen_census_gives_three_verdicts():
+    nd = EnumFilter(require_nd=True)
+    assert check_frozen_census(2, nd, CensusResult(raw=4, iso=4)) == "match"
+    assert check_frozen_census(2, nd, CensusResult(raw=5, iso=4)) == (
+        "MISMATCH expected raw=4 iso=4"
+    )
+    unfrozen = EnumFilter(require_nd=True, require_bijective=True)
+    assert check_frozen_census(2, unfrozen, CensusResult(raw=4, iso=4)) == "cell not frozen"
 
 
 @pytest.mark.parametrize(
@@ -316,7 +326,7 @@ def test_rack_census_searches_only_the_racks_the_filter_admits(sig, drawn, kept,
     monkeypatch.setattr(search, "_passes", passing)
     filt = EnumFilter.from_signature(sig)
     result = census(4, filt)
-    assert check_frozen_census(4, filt, result) is None
+    assert check_frozen_census(4, filt, result) == "match"
     assert (len(racks), len(passed)) == (drawn, kept)
     if filt.require_involutive:
         assert set(racks) == {tuple(tuple(range(4)) for _ in range(4))}
