@@ -43,6 +43,16 @@ class FiniteSolution:
         self.sigma = _as_table(sigma, n, "sigma")
         self.tau = _as_table(tau, n, "tau")
 
+    @classmethod
+    def _from_tables(cls, sigma, tau):
+        """The solution of two tables the library built itself, each n rows
+        of n ints in 0..n-1, without the constructor's checks."""
+        sol = cls.__new__(cls)
+        sol.n = len(sigma)
+        sol.sigma = tuple(map(tuple, sigma))
+        sol.tau = tuple(map(tuple, tau))
+        return sol
+
     def r(self, x, y):
         return self.sigma[x][y], self.tau[y][x]
 
@@ -248,7 +258,7 @@ def invert(sol):
     for (u, v), (x, y) in preimage.items():
         sighat[u][v] = x
         tauhat[v][u] = y
-    return FiniteSolution(sighat, tauhat)
+    return FiniteSolution._from_tables(sighat, tauhat)
 
 
 def check_inverse(sol, inv):
@@ -295,7 +305,7 @@ def _relabeled_tables(sol, pi):
 
 def relabel(sol, pi):
     """Transport the tables along the carrier bijection pi."""
-    return FiniteSolution(*_relabeled_tables(sol, pi))
+    return FiniteSolution._from_tables(*_relabeled_tables(sol, pi))
 
 
 def is_isomorphic(a, b):
@@ -313,4 +323,4 @@ def canonical_form(sol):
     if sol.n > CANONICAL_SIZE_CAP:
         raise SizeTooLarge(f"canonical form capped at n <= {CANONICAL_SIZE_CAP}")
     best = min(_relabeled_tables(sol, pi) for pi in permutations(range(sol.n)))
-    return FiniteSolution(*best)
+    return FiniteSolution._from_tables(*best)

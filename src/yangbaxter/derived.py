@@ -14,9 +14,15 @@ rack and the left table,
 
 (Soloviev 2000; Lebed and Vendramin, Adv. Math. 2017).  So the
 non-degenerate solutions are found rack by rack: enumerate the racks, then
-the left tables whose rows are automorphisms of the rack.  Braid component 1,
+the left tables whose rows are automorphisms of the rack.
+
+Both are placed row by row, and each law forces rows as well as checking
+them.  The rack law L_y L_x = L_{y |> x} L_y forces L_k = L_y L_x L_y^-1 as
+soon as rows y and x are placed and y |> x = k.  Braid component 1,
 sigma_x sigma_y = sigma_w sigma_t with w = sigma_x(y) and
-t = sigma_w^-1(w |> x), prunes a left table as soon as its four rows are
+t = sigma_w^-1(w |> x), forces sigma_k = sigma_w^-1 sigma_x sigma_y as soon
+as rows x, y and w are placed and t = k; two placed pairs that force
+different rows cut the prefix.  Every law is still checked on each row
 placed.  A candidate is kept only when its right rows are permutations and
 ``validate_braid`` finds no violation, so the route never rests on the
 theorem alone.
@@ -43,10 +49,34 @@ def _products(maps):
     return [[index[tuple(a[v] for v in b)] for b in maps] for a in maps]
 
 
-def _row_tables(n, group, heads, holds):
+def _inverses(group):
+    """The inverse of each permutation of a group, and its position in the
+    group."""
+    index = {row: i for i, row in enumerate(group)}
+    inverse = [perm_inverse(row) for row in group]
+    return inverse, [index[row] for row in inverse]
+
+
+def _only(forced):
+    """The ids a row may take, given the set of ids that placed pairs force
+    on it: None when none is forced, (i,) when all force row i, and ()
+    when two differ."""
+    if not forced:
+        return None
+    return tuple(forced) if len(forced) == 1 else ()
+
+
+def _row_tables(n, group, heads, holds, forced=None):
     """The n-row tables with rows in group and row 0 in heads, in order, for
     which holds(rows, ids, k) accepts every prefix of rows 0..k, each with
-    its ids; ids are the rows' positions in group."""
+    its ids; ids are the rows' positions in group.
+
+    forced(rows, ids, k), when given, names the only ids row k >= 1 may
+    take once rows 0..k-1 are placed: None when any row of group may come,
+    an empty tuple when none can.  It only narrows the rows tried, so it
+    must let through every row that holds accepts; holds still decides each
+    row placed.
+    """
     index = {row: i for i, row in enumerate(group)}
     rows, ids = [], []
 
@@ -54,7 +84,12 @@ def _row_tables(n, group, heads, holds):
         if k == n:
             yield tuple(rows), tuple(ids)
             return
-        for row in heads if k == 0 else group:
+        only = forced(rows, ids, k) if forced and k else None
+        if only is not None:
+            options = [group[i] for i in only]
+        else:
+            options = heads if k == 0 else group
+        for row in options:
             rows.append(row)
             ids.append(index[row])
             if holds(rows, ids, k):
@@ -71,10 +106,12 @@ def labeled_racks(n):
 
     Rows are placed in order, each a permutation; the law
     L_y L_x = L_{L_y(x)} L_y for (y, x) is checked once the rows y, x and
-    y |> x are all placed.
+    y |> x are all placed, and it forces row y |> x when that is the next
+    row to place.
     """
     perms = sorted(permutations(range(n)))
     products = _products(perms)
+    inverse, inverse_ids = _inverses(perms)
 
     def holds(op, ids, k):
         for y in range(k + 1):
@@ -87,7 +124,17 @@ def labeled_racks(n):
                     return False
         return True
 
-    return (op for op, _ in _row_tables(n, perms, perms, holds))
+    def forced(op, ids, k):
+        """L_k = L_y L_x L_y^-1 for each placed y with x = L_y^-1(k) placed."""
+        found = set()
+        for y in range(k):
+            a = ids[y]
+            x = inverse[a][k]
+            if x < k:
+                found.add(products[products[a][ids[x]]][inverse_ids[a]])
+        return _only(found)
+
+    return (op for op, _ in _row_tables(n, perms, perms, holds, forced))
 
 
 def rack_classes(n):
@@ -132,7 +179,8 @@ def solutions(rack, automorphisms, heads):
     and passed validate_braid.
     """
     products = _products(automorphisms)
-    inverse = [perm_inverse(row) for row in automorphisms]
+    inverse, inverse_ids = _inverses(automorphisms)
+    rack_inverse = [perm_inverse(row) for row in rack]
 
     def holds(sigma, ids, k):
         """Component 1 on each pair whose four rows are placed and include
@@ -150,7 +198,20 @@ def solutions(rack, automorphisms, heads):
                     return False
         return True
 
-    for sigma, _ in _row_tables(len(rack), automorphisms, heads, holds):
-        sol = FiniteSolution(sigma, right_table(rack, sigma))
+    def forced(sigma, ids, k):
+        """sigma_k = sigma_w^-1 sigma_x sigma_y for each placed w whose pair
+        gives t = k: w |> x = sigma_w(k) fixes x, and sigma_x(y) = w fixes y,
+        both placed."""
+        found = set()
+        for w in range(k):
+            x = rack_inverse[w][sigma[w][k]]
+            if x < k:
+                y = inverse[ids[x]][w]
+                if y < k:
+                    found.add(products[inverse_ids[ids[w]]][products[ids[x]][ids[y]]])
+        return _only(found)
+
+    for sigma, _ in _row_tables(len(rack), automorphisms, heads, holds, forced):
+        sol = FiniteSolution._from_tables(sigma, right_table(rack, sigma))
         if right_nondegenerate(sol) and not validate_braid(sol):
             yield sol

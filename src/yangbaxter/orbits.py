@@ -60,7 +60,7 @@ def orbit_decomposition(sol):
         index = {e: i for i, e in enumerate(block)}
         sub_sigma = [[index[sol.sigma[a][b]] for b in block] for a in block]
         sub_tau = [[index[sol.tau[a][b]] for b in block] for a in block]
-        sub = FiniteSolution(sub_sigma, sub_tau)
+        sub = FiniteSolution._from_tables(sub_sigma, sub_tau)
         suborbits.append(Suborbit(elements=tuple(block), solution=sub))
     return OrbitDecomposition(partition=partition, suborbits=tuple(suborbits))
 

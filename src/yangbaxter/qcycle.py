@@ -93,7 +93,7 @@ def _solution_of(q):
     tau = tuple(
         tuple(q.colon[dot_inv[x][y]][x] for x in range(n)) for y in range(n)
     )
-    return FiniteSolution(sigma, tau)
+    return FiniteSolution._from_tables(sigma, tau)
 
 
 def to_solution(q):

@@ -121,7 +121,7 @@ def retract(sol):
         if witness is not None:
             raise CompatibilityError(op, witness)
     projection, (qsigma, qtau) = partition.quotient(sol.sigma, sol.tau)
-    return RetractResult(quotient=FiniteSolution(qsigma, qtau), projection=projection)
+    return RetractResult(quotient=FiniteSolution._from_tables(qsigma, qtau), projection=projection)
 
 
 def check_retract(sol, result):

@@ -65,7 +65,6 @@ import numpy as np
 
 from .core import (
     FiniteSolution,
-    _relabeled_tables,
     bijective_witness,
     canonical_form,
     involutive_witness,
@@ -326,7 +325,7 @@ def _raw_stream(n, filt, heads):
     rows = _row_options(n, filt.left_rows_permutations)
     for sigma, cells in _left_tables(n, rows, heads):
         for tau in _tau_completions(n, sigma, cells, filt.right_rows_permutations):
-            sol = FiniteSolution(sigma, tau)
+            sol = FiniteSolution._from_tables(sigma, tau)
             if _passes(sol, filt):
                 yield sol
 
@@ -378,14 +377,20 @@ def _head_orbits(rows, group):
 def _flat_key(tables):
     """The entries of a (sigma, tau) pair as one bytes object; for tables of
     one size, bytes order is the lexicographic order of the tables."""
-    return bytes(v for table in tables for row in table for v in row)
+    return bytes([v for table in tables for row in table for v in row])
+
+
+def _relabeled_key(sol, pi, pinv):
+    """The flat key (see _flat_key) of sol transported along pi, whose
+    inverse is pinv: entry (pi(i), pi(j)) of each table is pi(table[i][j])."""
+    return bytes([pi[table[i][j]] for table in (sol.sigma, sol.tau) for i in pinv for j in pinv])
 
 
 def _marked_images(sol, group, orbits):
     """The flat keys of the relabelings of sol by the (pi, pi^-1) pairs of
     group whose head row is a representative in orbits."""
     return [
-        _flat_key(_relabeled_tables(sol, pi))
+        _relabeled_key(sol, pi, pinv)
         for pi, pinv in group
         # the head row of the relabeled solution
         if _conjugate(sol.sigma[pinv[0]], pi, pinv) in orbits

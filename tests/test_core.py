@@ -121,6 +121,17 @@ def test_malformed_tables_rejected():
         FiniteSolution((), ())
 
 
+def test_unchecked_constructor_equals_the_checked_one():
+    # the library builds the tables it makes itself without the checks
+    sigma, tau = [[1, 2, 0], [1, 2, 0], [1, 2, 0]], [[1, 2, 0], [1, 2, 0], [1, 2, 0]]
+    checked = FiniteSolution(sigma, tau)
+    unchecked = FiniteSolution._from_tables(sigma, tau)
+    assert unchecked == checked and checked == unchecked
+    assert hash(unchecked) == hash(checked)
+    assert (unchecked.n, unchecked.sigma, unchecked.tau) == (checked.n, checked.sigma, checked.tau)
+    assert unchecked == lyubashenko3() and not validate_braid(unchecked)
+
+
 def test_properties_left_only3():
     p = properties(left_only3())
     assert p.braid_ok

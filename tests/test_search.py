@@ -389,14 +389,17 @@ def test_census_marks_only_relabelings_onto_representative_heads(monkeypatch):
     rows = search._row_options(3, True)
     reps = {rep for rep, _ in search._head_orbits(rows, permutations(range(3)))}
     heads = []
-    relabeled_tables = search._relabeled_tables
+    relabeled_key = search._relabeled_key
 
-    def recording(sol, pi):
-        tables = relabeled_tables(sol, pi)
-        heads.append(tables[0][0])
-        return tables
+    def recording(sol, pi, pinv):
+        key = relabeled_key(sol, pi, pinv)
+        relabeled = relabel(sol, pi)
+        assert key == search._flat_key((relabeled.sigma, relabeled.tau))
+        # the first n bytes are the relabeled head row
+        heads.append(tuple(key[:sol.n]))
+        return key
 
-    monkeypatch.setattr(search, "_relabeled_tables", recording)
+    monkeypatch.setattr(search, "_relabeled_key", recording)
     assert census(3, filt) == CensusResult(raw=354, iso=90)
     assert len(reps) == 4
     assert heads and set(heads) <= reps < set(rows)
@@ -411,20 +414,20 @@ def test_rack_census_marks_only_automorphisms_onto_representative_heads(n, iso, 
         reps = {rep for rep, _ in search._head_orbits(automorphisms, automorphisms)}
         classes[rack] = (set(automorphisms), reps)
     racks, marks = {}, []
-    rack_solutions, relabeled_tables = search.rack_solutions, search._relabeled_tables
+    rack_solutions, relabeled_key = search.rack_solutions, search._relabeled_key
 
     def tagging(rack, automorphisms, heads):
         for sol in rack_solutions(rack, automorphisms, heads):
             racks[sol] = rack
             yield sol
 
-    def recording(sol, pi):
-        tables = relabeled_tables(sol, pi)
-        marks.append((racks[sol], pi, tables[0][0]))
-        return tables
+    def recording(sol, pi, pinv):
+        key = relabeled_key(sol, pi, pinv)
+        marks.append((racks[sol], pi, tuple(key[:sol.n])))
+        return key
 
     monkeypatch.setattr(search, "rack_solutions", tagging)
-    monkeypatch.setattr(search, "_relabeled_tables", recording)
+    monkeypatch.setattr(search, "_relabeled_key", recording)
     assert census(n, EnumFilter(require_nd=True)).iso == iso
     assert marks
     for rack, pi, head in marks:
