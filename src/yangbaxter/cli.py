@@ -21,9 +21,10 @@ from .errors import DomainError, InputError
 from .omega import (
     check_omega_identities,
     check_star_conditions,
+    tower_maps,
     tower_verdicts,
 )
-from .orbits import orbit_decomposition
+from .orbits import _decomposable, _orbit_partition, orbit_decomposition
 from .qcycle import from_solution, is_regular, qcycle_diagonals, to_solution, validate_qcycle
 from .retract import Partition, mpl, mpl_prime, retract, retract_levels, retract_tower
 from .search import EnumFilter, census, enumerate_solutions
@@ -128,16 +129,20 @@ def cmd_analyze(args):
     report = {"n": sol.n}
     if labels:
         report["labels"] = list(labels)
+    # each fact about sol is decided once and handed on: the property flags
+    # to the diagonal maps and theorems, the maps to both diagonal checks, one
+    # walk of the retract tower to --retract, --mpl and --mpl-prime, and one
+    # build of the {sigma, tau} tower maps to the verdicts and the identities
     props = properties(sol)
     report["properties"] = props.as_dict()
     if args.diag:
-        d = diagonal_maps(sol)
+        d = diagonal_maps(sol, props)
         report["diagonals"] = {
             "U": d.U, "T": d.T, "U_hat": d.U_hat, "T_hat": d.T_hat,
         }
         if d.U is not None and d.T is not None:
-            report["diagonal_identities"] = check_diagonal_identities(sol)
-            report["diagonal_theorems"] = check_diagonal_theorems(sol)
+            report["diagonal_identities"] = check_diagonal_identities(sol, d)
+            report["diagonal_theorems"] = check_diagonal_theorems(sol, d, props)
     # --retract, --mpl and --mpl-prime share one walk of the retract tower; a
     # degenerate solution gets none, and retract, mpl and mpl_prime say why
     tower = retract_tower(sol) if (args.mpl or args.mpl_prime) and props.nondegenerate else ()
@@ -149,15 +154,20 @@ def cmd_analyze(args):
             "quotient": res.quotient,
             "projection": res.projection,
         }
+    levels = retract_levels(sol, tower) if tower else None
     if args.mpl:
-        report["mpl"] = retract_levels(sol, tower)[0] if tower else mpl(sol)
+        report["mpl"] = levels[0] if tower else mpl(sol)
     if args.mpl_prime:
-        report["mpl_prime"] = retract_levels(sol, tower)[1] if tower else mpl_prime(sol)
+        report["mpl_prime"] = levels[1] if tower else mpl_prime(sol)
+    # bounds -1 and 0 ask tower_verdicts for no heights
+    perm_max = args.max_k if args.kperm else -1
+    red_max = args.max_k if args.kred else 0
+    maps = None
+    if args.kperm or args.kred or args.omega_identities:
+        # check_omega_identities reads heights up to max_k - 1
+        maps = tower_maps(sol, max(perm_max, red_max - 1, args.max_k - 1))
     if args.kperm or args.kred:
-        # one build of the tower maps decides both; bounds -1 and 0 ask for no heights
-        perm, red = tower_verdicts(
-            sol, args.max_k if args.kperm else -1, args.max_k if args.kred else 0
-        )
+        perm, red = tower_verdicts(sol, perm_max, red_max, maps)
         if args.kperm:
             report["k_permutational"] = {
                 k: {"holds": ok, "witness": witness} for k, (ok, witness) in perm.items()
@@ -172,7 +182,9 @@ def cmd_analyze(args):
             "holds": ok, "sigma_fixers": sigma_fixers, "tau_fixers": tau_fixers,
         }
     if args.omega_identities:
-        report["omega_identities"] = check_omega_identities(sol, args.max_k, seed=args.seed)
+        report["omega_identities"] = check_omega_identities(
+            sol, args.max_k, seed=args.seed, tower=maps
+        )
     if args.qcycle:
         q = from_solution(sol)
         U, U_hat, commute_failures = qcycle_diagonals(q)
@@ -186,10 +198,14 @@ def cmd_analyze(args):
             "round_trip_ok": to_solution(q) == sol,
         }
     if args.orbits:
-        decomp = orbit_decomposition(sol)
+        # only the partition is read; a degenerate solution has none, and
+        # orbit_decomposition says why
+        partition = (
+            _orbit_partition(sol) if props.nondegenerate else orbit_decomposition(sol).partition
+        )
         report["orbits"] = {
-            "blocks": decomp.partition.blocks(),
-            "decomposable": decomp.decomposable,
+            "blocks": partition.blocks(),
+            "decomposable": _decomposable(partition),
         }
     if args.invert:
         report["inverse"] = invert(sol)

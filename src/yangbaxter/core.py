@@ -189,30 +189,41 @@ def _row_collision(table):
     return None
 
 
+def _preimages(sol):
+    """({r(x, y): (x, y)}, None) when the pair map is injective, else the
+    pairs read up to the first collision and (earlier input, later input)
+    for it; inputs are read in lexicographic order."""
+    s, t = sol.sigma, sol.tau
+    preimage = {}
+    for x, y in product(range(sol.n), repeat=2):
+        im = (s[x][y], t[y][x])
+        if im in preimage:
+            return preimage, (preimage[im], (x, y))
+        preimage[im] = (x, y)
+    return preimage, None
+
+
 def bijective_witness(sol):
     """Two inputs of the pair map with the same image, or None when it is
     bijective."""
-    image_of = {}
-    for x, y in product(range(sol.n), repeat=2):
-        im = sol.r(x, y)
-        if im in image_of:
-            return (image_of[im], (x, y))
-        image_of[im] = (x, y)
-    return None
+    return _preimages(sol)[1]
 
 
 def involutive_witness(sol):
     """A pair that r does not send back to itself in two steps, or None."""
+    s, t = sol.sigma, sol.tau
     for x, y in product(range(sol.n), repeat=2):
-        if sol.r(*sol.r(x, y)) != (x, y):
+        u, v = s[x][y], t[y][x]
+        if s[u][v] != x or t[v][u] != y:
             return (x, y)
     return None
 
 
 def square_free_witness(sol):
     """A point x with r(x, x) != (x, x), or None."""
+    s, t = sol.sigma, sol.tau
     for x in range(sol.n):
-        if sol.r(x, x) != (x, x):
+        if s[x][x] != x or t[x][x] != x:
             return (x,)
     return None
 
@@ -242,17 +253,16 @@ def invert(sol):
     r_inverse(u, v) = (sigma_hat[u][v], tau_hat[v][u]).  Raises NotBijective
     with a colliding pair of inputs when the pair map is not injective.
     """
-    n = sol.n
-    preimage = {}
-    for x, y in product(range(n), repeat=2):
-        im = sol.r(x, y)
-        if im in preimage:
-            raise NotBijective(
-                f"pair map is not injective: {preimage[im]} and {(x, y)} share image {im}",
-                witness=(preimage[im], (x, y)),
-            )
-        preimage[im] = (x, y)
+    preimage, collision = _preimages(sol)
+    if collision is not None:
+        first, second = collision
+        im = sol.r(*second)
+        raise NotBijective(
+            f"pair map is not injective: {first} and {second} share image {im}",
+            witness=collision,
+        )
 
+    n = sol.n
     sighat = [[None] * n for _ in range(n)]
     tauhat = [[None] * n for _ in range(n)]
     for (u, v), (x, y) in preimage.items():
@@ -297,15 +307,12 @@ def _relabeled_table(table, pi, pinv):
     return tuple(tuple([pi[table[i][j]] for j in pinv]) for i in pinv)
 
 
-def _relabeled_tables(sol, pi):
-    """The (sigma, tau) tuples of sol transported along pi, unvalidated."""
-    pinv = perm_inverse(pi)
-    return _relabeled_table(sol.sigma, pi, pinv), _relabeled_table(sol.tau, pi, pinv)
-
-
 def relabel(sol, pi):
     """Transport the tables along the carrier bijection pi."""
-    return FiniteSolution._from_tables(*_relabeled_tables(sol, pi))
+    pinv = perm_inverse(pi)
+    return FiniteSolution._from_tables(
+        _relabeled_table(sol.sigma, pi, pinv), _relabeled_table(sol.tau, pi, pinv)
+    )
 
 
 def is_isomorphic(a, b):
@@ -318,9 +325,24 @@ def is_isomorphic(a, b):
     return None
 
 
+def _flat_key(tables):
+    """The entries of a (sigma, tau) pair as one bytes object; for tables of
+    one size, bytes order is the lexicographic order of the tables."""
+    return bytes([v for table in tables for row in table for v in row])
+
+
+def _relabeled_key(sol, pi, pinv):
+    """The flat key (see _flat_key) of sol transported along pi, whose
+    inverse is pinv: entry (pi(i), pi(j)) of each table is pi(table[i][j])."""
+    return bytes([pi[table[i][j]] for table in (sol.sigma, sol.tau) for i in pinv for j in pinv])
+
+
 def canonical_form(sol):
     """Lexicographically minimal relabeling; identical across an isomorphism class."""
-    if sol.n > CANONICAL_SIZE_CAP:
+    n = sol.n
+    if n > CANONICAL_SIZE_CAP:
         raise SizeTooLarge(f"canonical form capped at n <= {CANONICAL_SIZE_CAP}")
-    best = min(_relabeled_tables(sol, pi) for pi in permutations(range(sol.n)))
-    return FiniteSolution._from_tables(*best)
+    # the least flat key is the key of the least relabeling
+    key = min(_relabeled_key(sol, pi, perm_inverse(pi)) for pi in permutations(range(n)))
+    rows = [key[i : i + n] for i in range(0, 2 * n * n, n)]
+    return FiniteSolution._from_tables(rows[:n], rows[n:])

@@ -33,7 +33,11 @@ class OrbitDecomposition:
     @property
     def decomposable(self):
         """More than one element and more than one orbit."""
-        return self.partition.n > 1 and self.partition.num_blocks() > 1
+        return _decomposable(self.partition)
+
+
+def _decomposable(partition):
+    return partition.n > 1 and partition.num_blocks() > 1
 
 
 def _find(parent, x):
@@ -43,8 +47,9 @@ def _find(parent, x):
     return x
 
 
-def orbit_decomposition(sol):
-    require_nondegenerate(sol, "orbit_decomposition")
+def _orbit_partition(sol):
+    """The orbit partition of a non-degenerate sol, the connected components
+    of the translation images; non-degeneracy is the caller's to check."""
     n = sol.n
     parent = list(range(n))
     for y, x in product(range(n), repeat=2):
@@ -52,9 +57,12 @@ def orbit_decomposition(sol):
             a, b = _find(parent, x), _find(parent, image)
             if a != b:
                 parent[max(a, b)] = min(a, b)
-    block_of = tuple(_find(parent, x) for x in range(n))
-    partition = Partition(n=n, block_of=block_of)
+    return Partition(n=n, block_of=tuple(_find(parent, x) for x in range(n)))
 
+
+def orbit_decomposition(sol):
+    require_nondegenerate(sol, "orbit_decomposition")
+    partition = _orbit_partition(sol)
     suborbits = []
     for block in partition.blocks():
         index = {e: i for i, e in enumerate(block)}

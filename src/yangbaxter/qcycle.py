@@ -33,6 +33,16 @@ class QCycleSet:
         self.dot = _as_table(dot, n, "dot")
         self.colon = _as_table(colon, n, "colon")
 
+    @classmethod
+    def _from_tables(cls, dot, colon):
+        """The q-cycle set of two tables the library built itself, each n
+        rows of n ints in 0..n-1, without the constructor's checks."""
+        q = cls.__new__(cls)
+        q.n = len(dot)
+        q.dot = tuple(map(tuple, dot))
+        q.colon = tuple(map(tuple, colon))
+        return q
+
     def __eq__(self, other):
         return (
             isinstance(other, QCycleSet)
@@ -81,7 +91,7 @@ def from_solution(sol):
     colon = tuple(
         tuple(sol.tau[sig_inv[y][x]][y] for y in range(n)) for x in range(n)
     )
-    return QCycleSet(dot, colon)
+    return QCycleSet._from_tables(dot, colon)
 
 
 def _solution_of(q):

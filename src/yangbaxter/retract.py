@@ -39,10 +39,15 @@ class Partition:
             block_of.append(first.setdefault(key, x))
         return Partition(n=len(block_of), block_of=tuple(block_of))
 
-    def blocks(self):
+    def _members(self):
+        """{representative: the members of its block in increasing order}."""
         groups = {}
         for x, rep in enumerate(self.block_of):
             groups.setdefault(rep, []).append(x)
+        return groups
+
+    def blocks(self):
+        groups = self._members()
         return [tuple(groups[rep]) for rep in sorted(groups)]
 
     def same_block(self, x, y):
@@ -95,14 +100,28 @@ def check_compatibility(sol, partition, op):
     arguments whose op-images land in different blocks, or None when the
     partition is compatible with the operation.  op is any action symbol name
     accepted by the tower machinery."""
-    table = action_table(sol, op)
+    return _first_incompatible(action_table(sol, op), partition)
+
+
+def _first_incompatible(table, partition):
+    """check_compatibility on the action table of the operation."""
     block_of = partition.block_of
+    # compatible when every image lies in the block of its representatives'
+    # image; only an incompatible partition is walked for its witness
+    reps = [table[rep] for rep in block_of]
+    if all(
+        block_of[v] == block_of[rep_row[rep]]
+        for row, rep_row in zip(table, reps)
+        for v, rep in zip(row, block_of)
+    ):
+        return None
+    n = partition.n
+    members = partition._members()
     # each block's representative is its least member, so this walks the
     # related quadruples in lexicographic order
-    members = {block[0]: block for block in partition.blocks()}
-    for x1 in range(sol.n):
+    for x1 in range(n):
         for x2 in members[block_of[x1]]:
-            for y1 in range(sol.n):
+            for y1 in range(n):
                 for y2 in members[block_of[y1]]:
                     if block_of[table[x1][y1]] != block_of[table[x2][y2]]:
                         return (x1, x2, y1, y2)
@@ -116,8 +135,9 @@ def retract(sol):
     defining operations, which can happen for degenerate solutions only.
     """
     partition = retract_relation(sol, "forward")
-    for op in (SIGMA, TAU):
-        witness = check_compatibility(sol, partition, op)
+    # the action tables of sigma and tau are the solution's own
+    for op, table in ((SIGMA, sol.sigma), (TAU, sol.tau)):
+        witness = _first_incompatible(table, partition)
         if witness is not None:
             raise CompatibilityError(op, witness)
     projection, (qsigma, qtau) = partition.quotient(sol.sigma, sol.tau)

@@ -65,6 +65,8 @@ import numpy as np
 
 from .core import (
     FiniteSolution,
+    _flat_key,
+    _relabeled_key,
     bijective_witness,
     canonical_form,
     involutive_witness,
@@ -372,18 +374,6 @@ def _head_orbits(rows, group):
         seen |= orbit
         orbits.append((row, len(orbit)))
     return orbits
-
-
-def _flat_key(tables):
-    """The entries of a (sigma, tau) pair as one bytes object; for tables of
-    one size, bytes order is the lexicographic order of the tables."""
-    return bytes([v for table in tables for row in table for v in row])
-
-
-def _relabeled_key(sol, pi, pinv):
-    """The flat key (see _flat_key) of sol transported along pi, whose
-    inverse is pinv: entry (pi(i), pi(j)) of each table is pi(table[i][j])."""
-    return bytes([pi[table[i][j]] for table in (sol.sigma, sol.tau) for i in pinv for j in pinv])
 
 
 def _marked_images(sol, group, orbits):

@@ -207,7 +207,7 @@ def _check_left_nd(sol, report, props):
     )
 
     U, U_hat, commute_failures = qcycle_diagonals(q)
-    d = diagonal_maps(sol)
+    d = diagonal_maps(sol, props)
     bad = []
     if U != d.U or U_hat != d.U_hat:
         bad.append(_payload(sol, (U, d.U, U_hat, d.U_hat)))
@@ -258,13 +258,13 @@ def _check_diagonals(sol, report, props):
         [] if props.bijective else [_payload(sol, props.witnesses.get("bijective"))],
     )
 
-    d = diagonal_maps(sol)
+    d = diagonal_maps(sol, props)
     bad = []
     if sorted(d.U) != list(range(sol.n)) or sorted(d.T) != list(range(sol.n)):
         bad.append(_payload(sol, (d.U, d.T)))
     report.record("diagonals_are_bijections", bad)
 
-    theorems = check_diagonal_theorems(sol)
+    theorems = check_diagonal_theorems(sol, d, props)
     for key, entry_name in (
         ("u_that_mutually_inverse", "diagonal_inverse_pairs"),
         ("t_uhat_mutually_inverse", "diagonal_inverse_pairs"),
@@ -291,7 +291,7 @@ def _check_nondegenerate(sol, report, props, red, perm, star_ok):
         bad = [k for k in range(2, K_PERM_MAX + 1) if red[k] != perm[k]]
         report.record("distributive_reductive_iff_permutational", [_payload(sol, k) for k in bad])
 
-    identities = check_diagonal_identities(sol)
+    identities = check_diagonal_identities(sol, d)
     report.record(
         "diagonal_pointwise_identities",
         [_payload(sol, (name, pts)) for name, pts in identities.items() if pts],

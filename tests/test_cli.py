@@ -63,6 +63,8 @@ GATE = {
         (0,) * 4, "6fdb67dab8784c0b2ecb07d59e56669dd3808449003fc81c3161a44616c28509"),
     "enumerate 4 left-nd census": (
         (0,), "d2a103102e36a50caac76d72d363550a3977c8547c15beaee4ddce80621a7570"),
+    "analyze nd n=4 iso": (
+        (0,) * 253, "c2ab4ef0a21015d0a1d8136e1cb31ac93f86920a7733e9afa003157c875a5c80"),
 }
 # the filters of the n = 3 iso and census groups, all counted by the
 # watch-list pass (the nd groups above go through derived racks)
@@ -197,7 +199,7 @@ def test_analyze_retract_and_mpl_incompatibility_exits_1(left_only3_path, capsys
 def test_analyze_walks_the_retract_tower_once(tmp_path, monkeypatch, capsys):
     retract_module = sys.modules["yangbaxter.retract"]
     orbits_module = sys.modules["yangbaxter.orbits"]
-    calls = {"retract": 0, "retract_relation": 0, "orbit_decomposition": 0}
+    calls = {"retract": 0, "retract_relation": 0, "orbit_decomposition": 0, "_orbit_partition": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -223,8 +225,12 @@ def test_analyze_walks_the_retract_tower_once(tmp_path, monkeypatch, capsys):
         report = json.loads(capsys.readouterr().out)
         blocks = retract_relation(sol, "forward").blocks()
         assert report["retract"]["blocks"] == [list(block) for block in blocks]
-        # one retract (and its one forward relation) per tower step
-        assert calls == {"retract": steps, "retract_relation": steps, "orbit_decomposition": 1}
+        # one retract (and its one forward relation) per tower step, and one
+        # orbit partition without the suborbits of a full decomposition
+        assert calls == {
+            "retract": steps, "retract_relation": steps,
+            "orbit_decomposition": 0, "_orbit_partition": 1,
+        }
     assert len(sols) == 66 and len(heights) > 1
 
 
@@ -447,6 +453,11 @@ def test_stdout_bytes_and_exit_codes_are_pinned(tmp_path, capsys):
     for i, sol in enumerate(enumerate_solutions(3, EnumFilter(require_nd=True))):
         nd3.append(str(tmp_path / f"nd3_{i:02d}.json"))
         save_document(nd3[-1], solution_to_document(sol))
+    # one document per n = 4 non-degenerate class, as the benchmark's analyze runs
+    nd4_iso = []
+    for i, sol in enumerate(enumerate_solutions(4, EnumFilter(require_nd=True, up_to_iso=True))):
+        nd4_iso.append(str(tmp_path / f"nd4_iso_{i:03d}.json"))
+        save_document(nd4_iso[-1], solution_to_document(sol))
     non_braid = str(tmp_path / "non_braid.json")
     save_document(non_braid, {
         "format_version": 1, "kind": "solution", "n": 2,
@@ -493,6 +504,7 @@ def test_stdout_bytes_and_exit_codes_are_pinned(tmp_path, capsys):
         "enumerate 3 iso": [["enumerate", "3", *f, "--iso"] for f in N3_FILTERS],
         "enumerate 3 census": [["enumerate", "3", *f, "--census", "--json"] for f in N3_FILTERS],
         "enumerate 4 left-nd census": [["enumerate", "4", "--left-nd", "--census", "--json"]],
+        "analyze nd n=4 iso": [["analyze", p, *ANALYZE_FLAGS] for p in nd4_iso],
     }
     observed = {}
     for name, runs in groups.items():

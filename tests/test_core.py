@@ -17,6 +17,7 @@ from yangbaxter import (
     relabel,
     validate_braid,
 )
+from yangbaxter.core import bijective_witness, involutive_witness, square_free_witness
 from yangbaxter.fixtures import (
     derived2,
     left_only3,
@@ -89,6 +90,56 @@ def test_inlined_braid_check_matches_r_composition(n):
         with_violations += bool(violations)
     if n > 1:
         assert with_violations > 0
+
+
+def _pair_map_by_r(sol):
+    """The bijective, involutive and square-free witnesses and the inverse
+    tables (None when not bijective), read through sol.r."""
+    pairs = list(product(range(sol.n), repeat=2))
+    image_of, collision = {}, None
+    for x, y in pairs:
+        im = sol.r(x, y)
+        if im in image_of and collision is None:
+            collision = (image_of[im], (x, y))
+        image_of.setdefault(im, (x, y))
+    involutive = next(((x, y) for x, y in pairs if sol.r(*sol.r(x, y)) != (x, y)), None)
+    square_free = next(((x,) for x in range(sol.n) if sol.r(x, x) != (x, x)), None)
+    inverse = None
+    if collision is None:
+        inverse = (
+            tuple(tuple(image_of[(u, v)][0] for v in range(sol.n)) for u in range(sol.n)),
+            tuple(tuple(image_of[(u, v)][1] for u in range(sol.n)) for v in range(sol.n)),
+        )
+    return collision, involutive, square_free, inverse
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pair_map_witnesses_match_r(n):
+    # the witnesses and invert read the tables directly; any table pair will do
+    rng = random.Random(20261020 + n)
+    pairs = [
+        FiniteSolution(_random_table(rng, n, left), _random_table(rng, n, right))
+        for left, right in product((False, True), repeat=2)
+        for _ in range(50)
+    ]
+    bijective = 0
+    for sol in pairs + [lyubashenko3(), left_only3(), derived2(), z3group()]:
+        collision, involutive, square_free, inverse = _pair_map_by_r(sol)
+        assert bijective_witness(sol) == collision, sol
+        assert involutive_witness(sol) == involutive, sol
+        assert square_free_witness(sol) == square_free, sol
+        if inverse is None:
+            with pytest.raises(NotBijective) as exc:
+                invert(sol)
+            first, second = collision
+            assert exc.value.witness == collision
+            assert str(exc.value) == (
+                f"pair map is not injective: {first} and {second} share image {sol.r(*second)}"
+            )
+        else:
+            assert (invert(sol).sigma, invert(sol).tau) == inverse, sol
+            bijective += 1
+    assert bijective > 0
 
 
 # every shipped instance really is a solution
