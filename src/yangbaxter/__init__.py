@@ -47,7 +47,6 @@ from .omega import (
     omega_eval,
     permutational_levels,
     reductive_levels,
-    tower_maps,
     tower_verdicts,
 )
 from .orbits import OrbitDecomposition, check_orbit_theorem, is_decomposable, orbit_decomposition

@@ -18,15 +18,10 @@ from .core import FiniteSolution, invert, properties, validate_braid
 from .diagonals import check_diagonal_identities, check_diagonal_theorems, diagonal_maps
 from .documents import load_document, save_document, solution_to_document
 from .errors import DomainError, InputError
-from .omega import (
-    check_omega_identities,
-    check_star_conditions,
-    tower_maps,
-    tower_verdicts,
-)
+from .omega import check_omega_identities, check_star_conditions, tower_verdicts
 from .orbits import _decomposable, _orbit_partition, orbit_decomposition
 from .qcycle import from_solution, is_regular, qcycle_diagonals, to_solution, validate_qcycle
-from .retract import Partition, mpl, mpl_prime, retract, retract_levels, retract_tower
+from .retract import Partition, mpl, mpl_prime, retract
 from .search import EnumFilter, census, enumerate_solutions
 from .suite import theorem_suite
 
@@ -129,45 +124,33 @@ def cmd_analyze(args):
     report = {"n": sol.n}
     if labels:
         report["labels"] = list(labels)
-    # each fact about sol is decided once and handed on: the property flags
-    # to the diagonal maps and theorems, the maps to both diagonal checks, one
-    # walk of the retract tower to --retract, --mpl and --mpl-prime, and one
-    # build of the {sigma, tau} tower maps to the verdicts and the identities
-    props = properties(sol)
-    report["properties"] = props.as_dict()
+    # each fact is held on sol, so the flags that read one fact share it
+    report["properties"] = properties(sol).as_dict()
     if args.diag:
-        d = diagonal_maps(sol, props)
+        d = diagonal_maps(sol)
         report["diagonals"] = {
             "U": d.U, "T": d.T, "U_hat": d.U_hat, "T_hat": d.T_hat,
         }
         if d.U is not None and d.T is not None:
-            report["diagonal_identities"] = check_diagonal_identities(sol, d)
-            report["diagonal_theorems"] = check_diagonal_theorems(sol, d, props)
-    # --retract, --mpl and --mpl-prime share one walk of the retract tower; a
-    # degenerate solution gets none, and retract, mpl and mpl_prime say why
-    tower = retract_tower(sol) if (args.mpl or args.mpl_prime) and props.nondegenerate else ()
+            report["diagonal_identities"] = check_diagonal_identities(sol)
+            report["diagonal_theorems"] = check_diagonal_theorems(sol)
     if args.retract:
-        res = tower[0] if tower else retract(sol)
+        res = retract(sol)
         report["retract"] = {
             "blocks": Partition.from_keys(res.projection).blocks(),
             "quotient_n": res.quotient.n,
             "quotient": res.quotient,
             "projection": res.projection,
         }
-    levels = retract_levels(sol, tower) if tower else None
     if args.mpl:
-        report["mpl"] = levels[0] if tower else mpl(sol)
+        report["mpl"] = mpl(sol)
     if args.mpl_prime:
-        report["mpl_prime"] = levels[1] if tower else mpl_prime(sol)
-    # bounds -1 and 0 ask tower_verdicts for no heights
-    perm_max = args.max_k if args.kperm else -1
-    red_max = args.max_k if args.kred else 0
-    maps = None
-    if args.kperm or args.kred or args.omega_identities:
-        # check_omega_identities reads heights up to max_k - 1
-        maps = tower_maps(sol, max(perm_max, red_max - 1, args.max_k - 1))
+        report["mpl_prime"] = mpl_prime(sol)
     if args.kperm or args.kred:
-        perm, red = tower_verdicts(sol, perm_max, red_max, maps)
+        # bounds -1 and 0 ask tower_verdicts for no heights
+        perm, red = tower_verdicts(
+            sol, args.max_k if args.kperm else -1, args.max_k if args.kred else 0
+        )
         if args.kperm:
             report["k_permutational"] = {
                 k: {"holds": ok, "witness": witness} for k, (ok, witness) in perm.items()
@@ -182,9 +165,7 @@ def cmd_analyze(args):
             "holds": ok, "sigma_fixers": sigma_fixers, "tau_fixers": tau_fixers,
         }
     if args.omega_identities:
-        report["omega_identities"] = check_omega_identities(
-            sol, args.max_k, seed=args.seed, tower=maps
-        )
+        report["omega_identities"] = check_omega_identities(sol, args.max_k, seed=args.seed)
     if args.qcycle:
         q = from_solution(sol)
         U, U_hat, commute_failures = qcycle_diagonals(q)
@@ -200,9 +181,8 @@ def cmd_analyze(args):
     if args.orbits:
         # only the partition is read; a degenerate solution has none, and
         # orbit_decomposition says why
-        partition = (
-            _orbit_partition(sol) if props.nondegenerate else orbit_decomposition(sol).partition
-        )
+        nondegenerate = properties(sol).nondegenerate
+        partition = _orbit_partition(sol) if nondegenerate else orbit_decomposition(sol).partition
         report["orbits"] = {
             "blocks": partition.blocks(),
             "decomposable": _decomposable(partition),

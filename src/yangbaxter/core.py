@@ -10,6 +10,7 @@ are indexed acting-subscript-first).  The induced pair map is
 and the braid relation compares the two triple compositions of r on X^3.
 """
 
+import functools
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -69,6 +70,27 @@ class FiniteSolution:
     def __repr__(self):
         return f"FiniteSolution(sigma={list(map(list, self.sigma))}, tau={list(map(list, self.tau))})"
 
+    def __getstate__(self):
+        # the held facts stay with this object; a copy decides them again
+        return {"n": self.n, "sigma": self.sigma, "tau": self.tau}
+
+
+def _held(fn):
+    """fn(sol, ...), decided once per solution object and argument list and
+    held in that object's __dict__.  An exception is not held, so each call
+    raises it again.  Every reader gets the same held value, so none may
+    change it."""
+
+    @functools.wraps(fn)
+    def held(sol, *args, **kwargs):
+        facts = sol.__dict__.setdefault("_facts", {})
+        key = (fn, args, *kwargs.items()) if kwargs else (fn, args)
+        if key not in facts:
+            facts[key] = fn(sol, *args, **kwargs)
+        return facts[key]
+
+    return held
+
 
 @dataclass(frozen=True)
 class PropertyReport:
@@ -121,7 +143,7 @@ def right_nondegenerate(sol):
 
 
 def require_nondegenerate(sol, operation):
-    if not (left_nondegenerate(sol) and right_nondegenerate(sol)):
+    if not properties(sol).nondegenerate:
         raise NotNondegenerate(f"{operation} needs a non-degenerate solution")
 
 
@@ -228,6 +250,7 @@ def square_free_witness(sol):
     return None
 
 
+@_held
 def properties(sol):
     """Compute every elementary flag by direct definition, with witnesses."""
     violations = validate_braid(sol)
@@ -246,6 +269,7 @@ def properties(sol):
     )
 
 
+@_held
 def invert(sol):
     """The component tables of the inverse pair map.
 

@@ -8,7 +8,7 @@ one-sided non-degeneracy of its partner and may fail to be a bijection.
 """
 
 from dataclasses import dataclass
-from .core import bijective_witness, left_nondegenerate, require_nondegenerate, right_nondegenerate
+from .core import _held, properties, require_nondegenerate
 
 
 @dataclass(frozen=True)
@@ -19,45 +19,31 @@ class DiagonalMaps:
     T_hat: tuple | None
 
 
-def diagonal_maps(sol, props=None):
+@_held
+def diagonal_maps(sol):
     """The four diagonal maps, each None where its one-sided
-    non-degeneracy fails.  props, when given, is properties(sol), whose
-    non-degeneracy flags are read instead of decided again."""
+    non-degeneracy fails."""
     n = sol.n
-    if props is None:
-        left, right = left_nondegenerate(sol), right_nondegenerate(sol)
-    else:
-        left, right = props.left_nondegenerate, props.right_nondegenerate
+    props = properties(sol)
     U = T = U_hat = T_hat = None
-    if left:
+    if props.left_nondegenerate:
         U = tuple(sol.sigma[x].index(x) for x in range(n))
         U_hat = tuple(sol.tau[U[x]][x] for x in range(n))
-    if right:
+    if props.right_nondegenerate:
         T = tuple(sol.tau[x].index(x) for x in range(n))
         T_hat = tuple(sol.sigma[T[x]][x] for x in range(n))
     return DiagonalMaps(U=U, T=T, U_hat=U_hat, T_hat=T_hat)
 
 
-def _nondegenerate_maps(sol, maps, operation):
-    """maps, or diagonal_maps(sol) when maps is None, for a non-degenerate
-    sol; NotNondegenerate, naming operation, otherwise."""
-    if maps is None:
-        maps = diagonal_maps(sol)
-    if maps.U is None or maps.T is None:
-        # U and T exist exactly on the non-degenerate sides, so this raises
-        require_nondegenerate(sol, operation)
-    return maps
-
-
-def check_diagonal_identities(sol, maps=None):
+def check_diagonal_identities(sol):
     """Pointwise identities tying the four diagonal maps together.
 
     Returns a dict mapping each identity name to the list of carrier points
     where it fails; every list is expected to be empty for non-degenerate
-    solutions.  maps, when given, is diagonal_maps(sol), already computed
-    by the caller.
+    solutions.
     """
-    d = _nondegenerate_maps(sol, maps, "check_diagonal_identities")
+    require_nondegenerate(sol, "check_diagonal_identities")
+    d = diagonal_maps(sol)
     n = sol.n
     s, t = sol.sigma, sol.tau
     U, T, Uh, Th = d.U, d.T, d.U_hat, d.T_hat
@@ -88,20 +74,20 @@ def check_diagonal_identities(sol, maps=None):
     return report
 
 
-def check_diagonal_theorems(sol, maps=None, props=None):
+def check_diagonal_theorems(sol):
     """Bijectivity and commutation facts about U and T on non-degenerate input.
 
     Checks that T_hat inverts U, U_hat inverts T, U and T commute, the pair
     map is bijective, and that the two diagonal fixed-point conditions
     r(T(x), x) = (T(x), x) and r(x, U(x)) = (x, U(x)) hold everywhere
-    together or fail together.  maps and props, when given, are
-    diagonal_maps(sol) and properties(sol), already computed by the caller.
+    together or fail together.
     """
-    d = _nondegenerate_maps(sol, maps, "check_diagonal_theorems")
+    require_nondegenerate(sol, "check_diagonal_theorems")
+    d = diagonal_maps(sol)
     n = sol.n
     s, t = sol.sigma, sol.tau
     U, T, Uh, Th = d.U, d.T, d.U_hat, d.T_hat
-    collision = bijective_witness(sol) if props is None else props.witnesses.get("bijective")
+    collision = properties(sol).witnesses.get("bijective")
     report = {
         "u_that_mutually_inverse": [x for x in range(n) if U[Th[x]] != x or Th[U[x]] != x],
         "t_uhat_mutually_inverse": [x for x in range(n) if T[Uh[x]] != x or Uh[T[x]] != x],

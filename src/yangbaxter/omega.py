@@ -31,14 +31,16 @@ every verdict exact for any n and k.  Each job has one place:
 
 permutational_levels and reductive_levels read the verdicts of every height
 up to a bound from one build, and tower_verdicts reads both from one build;
-is_k_permutational and is_k_reductive are their one-height views.  tower_maps
-builds the {sigma, tau} maps once for a caller to hand to both
-tower_verdicts and check_omega_identities.
+is_k_permutational and is_k_reductive are their one-height views.  The
+{sigma, tau} maps are held on the solution at the greatest height asked for
+so far (_sigma_tau_levels), so tower_verdicts, check_omega_identities and
+the inverse-start identity read one build, and each tower_verdicts result is
+held too.
 """
 
 from itertools import product
 
-from .core import invert, is_permutation, left_nondegenerate, right_nondegenerate, row_inverses
+from .core import _held, invert, is_permutation, left_nondegenerate, right_nondegenerate, row_inverses
 from .errors import (
     ClosedFormMismatch,
     NotBijective,
@@ -260,23 +262,27 @@ def reductive_levels(sol, k_max):
     return tower_verdicts(sol, -1, k_max)[1]
 
 
-def tower_maps(sol, height):
-    """The {sigma, tau} tower maps of every height up to height, built once
-    for a caller to hand to tower_verdicts and check_omega_identities."""
-    return _tower_levels(action_tables(sol, DEFAULT_ALPHABET), DEFAULT_ALPHABET, sol.n, height)
+def _sigma_tau_levels(sol, height):
+    """The {sigma, tau} tower maps of every height up to height at least,
+    held on sol at the greatest height asked for so far: the maps of a
+    height do not depend on how far the build goes, so a taller build
+    serves every lower height."""
+    levels = vars(sol).get("_sigma_tau_levels")
+    if levels is None or len(levels) <= height:
+        tables = action_tables(sol, DEFAULT_ALPHABET)
+        levels = sol._sigma_tau_levels = _tower_levels(tables, DEFAULT_ALPHABET, sol.n, height)
+    return levels
 
 
-def tower_verdicts(sol, k_perm_max, k_red_max, tower=None):
+@_held
+def tower_verdicts(sol, k_perm_max, k_red_max):
     """permutational_levels over {sigma, tau} up to k_perm_max and
     reductive_levels up to k_red_max, from one build of the tower maps up to
     the greater height either needs; a map is empty when its bound is below
-    its first height.  The maps of a height do not depend on how far the
-    build goes, so each verdict and witness is the one-height decider's.
-    tower, when given, is tower_maps(sol, h) for some h that reaches that
-    height, already built by the caller."""
+    its first height.  Each verdict and witness is the one-height
+    decider's."""
+    tower = _sigma_tau_levels(sol, max(k_perm_max, k_red_max - 1))
     tables = action_tables(sol, DEFAULT_ALPHABET)
-    if tower is None:
-        tower = _tower_levels(tables, DEFAULT_ALPHABET, sol.n, max(k_perm_max, k_red_max - 1))
     return _permutational_verdicts(tower, k_perm_max), _reductive_verdicts(tables, tower, k_red_max)
 
 
@@ -377,7 +383,7 @@ def _folds(tables, levels, height):
     return folds
 
 
-def check_omega_identities(sol, max_m, seed=0, symbols=None, tower=None):
+def check_omega_identities(sol, max_m, seed=0, symbols=None):
     """Verify the general tower rewriting identities on this solution.
 
     peel_one       every tower map replays, from every base, as the scalar
@@ -402,10 +408,9 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None, tower=None):
     They hold for every solution (drop_base for permutational levels only),
     so any reported failure is an implementation bug, not a property of the
     input.  symbols restricts the tower alphabet; by default every symbol
-    the solution supports is used.  tower, when given, is tower_maps(sol, h)
-    for some h >= max_m - 1, already built by the caller; drop_base reads
-    it.  seed has no effect and is echoed in the report.  Returns a dict of
-    per-identity results with checked counts and failure witnesses.
+    the solution supports is used.  seed has no effect and is echoed in the
+    report.  Returns a dict of per-identity results with checked counts and
+    failure witnesses.
     """
     n = sol.n
     carrier = range(n)
@@ -474,8 +479,7 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None, tower=None):
 
     # the {sigma, tau} maps decide the level and feed drop_base
     tables = action_tables(sol, DEFAULT_ALPHABET)
-    if tower is None:
-        tower = _tower_levels(tables, DEFAULT_ALPHABET, n, max_m - 1)
+    tower = _sigma_tau_levels(sol, max_m - 1)
     perm_level = next((k for k in range(max_m) if _first_nonconstant(tower, k) is None), None)
     report["permutational_level_bound"] = perm_level
     if perm_level is not None:
@@ -504,7 +508,7 @@ def reductive_inverse_start_levels(sol, ks):
     if not ks:
         return {}
     tables = action_tables(sol, FULL_ALPHABET)
-    levels = _tower_levels(tables, DEFAULT_ALPHABET, sol.n, max(ks) - 1)
+    levels = _sigma_tau_levels(sol, max(ks) - 1)
     inverses = {SIGMA: SIGMA_INV, TAU: TAU_INV}
     return {k: list(_first_step_failures(tables, levels, k - 1, inverses)) for k in ks}
 

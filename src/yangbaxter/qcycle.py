@@ -16,10 +16,11 @@ from .core import (
     is_permutation,
     left_nondegenerate,
     perm_inverse,
+    properties,
     row_inverses,
     validate_braid,
 )
-from .errors import InvalidQCycle, MalformedTable, NotBijective, NotLeftNondegenerate
+from .errors import InvalidQCycle, MalformedTable, NotLeftNondegenerate
 
 
 class QCycleSet:
@@ -136,10 +137,9 @@ def check_qcycle_correspondence(sol, q):
         failures.append(("solution_round_trip", back))
     if not degenerate and from_solution(back) != q:
         failures.append(("qcycle_round_trip", back))
-    try:
-        inv = invert(sol)
-    except NotBijective:
+    if not properties(sol).bijective:
         return failures
+    inv = invert(sol)
     failures.extend(
         ("colon_inverts_hat_row", x)
         for x in range(q.n)

@@ -13,6 +13,7 @@ from itertools import product
 
 from .core import (
     FiniteSolution,
+    _held,
     invert,
     left_nondegenerate,
     require_nondegenerate,
@@ -74,6 +75,7 @@ class RetractResult:
 RELATION_KINDS = ("forward", "inverse", "colon")
 
 
+@_held
 def retract_relation(sol, kind="forward"):
     """The partition induced by one of the three row-comparison equivalences."""
     n = sol.n
@@ -128,6 +130,7 @@ def _first_incompatible(table, partition):
     return None
 
 
+@_held
 def retract(sol):
     """Quotient by the forward relation with the induced tables.
 
@@ -172,6 +175,7 @@ def is_trivial(sol):
     )
 
 
+@_held
 def retract_tower(sol):
     """retract(sol), then the retract of each quotient in turn, up to the
     first quotient of size one or the first step that keeps the size; that
@@ -184,11 +188,12 @@ def retract_tower(sol):
         cur = steps[-1].quotient
 
 
-def retract_levels(sol, tower):
-    """(mpl, mpl_prime) read from tower = retract_tower(sol): the least
-    heights at which the tower reaches one element and a trivial solution,
-    None where it stabilizes first.  Height 0 is sol itself."""
-    quotients = (sol, *(step.quotient for step in tower))
+@_held
+def retract_levels(sol):
+    """(mpl, mpl_prime) read from retract_tower(sol): the least heights at
+    which the tower reaches one element and a trivial solution, None where
+    it stabilizes first.  Height 0 is sol itself."""
+    quotients = (sol, *(step.quotient for step in retract_tower(sol)))
     level = next((k for k, q in enumerate(quotients) if q.n == 1), None)
     level_prime = next((k for k, q in enumerate(quotients) if is_trivial(q)), None)
     return level, level_prime
@@ -198,14 +203,14 @@ def mpl(sol):
     """Least height at which the iterated retract collapses to one element,
     or None when the tower stabilizes on a larger irretractable solution."""
     require_nondegenerate(sol, "mpl")
-    return retract_levels(sol, retract_tower(sol))[0]
+    return retract_levels(sol)[0]
 
 
 def mpl_prime(sol):
     """Least height at which the iterated retract becomes a trivial solution,
     possibly of size above one; None when the tower stabilizes non-trivially."""
     require_nondegenerate(sol, "mpl_prime")
-    return retract_levels(sol, retract_tower(sol))[1]
+    return retract_levels(sol)[1]
 
 
 def check_relation_coincidence(sol):
@@ -228,17 +233,13 @@ def check_relation_coincidence(sol):
     }
 
 
-def check_retract_duality(sol, tower=None):
+def check_retract_duality(sol):
     """The retract of the inverse solution is the inverse of the retract, and
-    both have the same multipermutation level.  tower, when given, is
-    retract_tower(sol), already walked by the caller.  Returns a failure dict
-    per check (all entries expected empty/True)."""
+    both have the same multipermutation level.  Returns a failure dict per
+    check (all entries expected empty/True)."""
     require_nondegenerate(sol, "check_retract_duality")
     inv = invert(sol)
-    if tower is None:
-        tower = retract_tower(sol)
-    tower_inv = retract_tower(inv)
-    ret, ret_inv = tower[0], tower_inv[0]
+    ret, ret_inv = retract_tower(sol)[0], retract_tower(inv)[0]
     report = {"mutually_inverse": [], "mpl_equal": []}
     if ret.projection != ret_inv.projection:
         report["mutually_inverse"].append(("projections differ", ret.projection, ret_inv.projection))
@@ -246,7 +247,7 @@ def check_retract_duality(sol, tower=None):
         report["mutually_inverse"].append(
             ("quotient tables differ", ret.quotient, ret_inv.quotient)
         )
-    level, level_inv = retract_levels(sol, tower)[0], retract_levels(inv, tower_inv)[0]
+    level, level_inv = retract_levels(sol)[0], retract_levels(inv)[0]
     if level != level_inv:
         report["mpl_equal"].append((level, level_inv))
     return report

@@ -44,7 +44,6 @@ from .omega import (
     permutational_levels,
     reductive_inverse_start_levels,
     reductive_levels,
-    tower_maps,
     tower_verdicts,
 )
 from .orbits import orbit_decomposition, orbit_theorem_levels
@@ -116,17 +115,20 @@ def _payload(sol, detail):
     return {"sigma": sol.sigma, "tau": sol.tau, "detail": detail}
 
 
-def _check_universal(sol, report, props):
+def _tower_holds(sol):
+    """({k: holds}, {k: holds}) of the tower verdicts the suite reads."""
+    verdicts = tower_verdicts(sol, K_PERM_MAX, K_RED_MAX)
+    return [{k: holds for k, (holds, _) in levels.items()} for levels in verdicts]
+
+
+def _check_universal(sol, report):
     """Claims whose hypotheses any braid-valid solution meets."""
+    props = properties(sol)
     bad = [] if props.braid_ok else [_payload(sol, v) for v in validate_braid(sol)]
     bad.extend(_payload(sol, ("routes disagree", v)) for v in check_braid_routes(sol))
     report.record("braid_routes_agree", bad)
 
-    # one build of the {sigma, tau} maps feeds the verdicts and drop_base
-    tower = tower_maps(sol, max(K_PERM_MAX, K_RED_MAX - 1, OMEGA_IDENTITY_MAX_M - 1))
-    perm_levels, red_levels = tower_verdicts(sol, K_PERM_MAX, K_RED_MAX, tower)
-    perm = {k: holds for k, (holds, _) in perm_levels.items()}
-    red = {k: holds for k, (holds, _) in red_levels.items()}
+    perm, red = _tower_holds(sol)
 
     bad = [k for k in range(1, K_PERM_MAX + 1) if red[k] and not perm[k]]
     report.record("reductive_implies_permutational", [_payload(sol, k) for k in bad])
@@ -148,17 +150,16 @@ def _check_universal(sol, report, props):
         symbols.append(SIGMA_INV)
     if props.right_nondegenerate:
         symbols.append(TAU_INV)
-    omega = check_omega_identities(sol, OMEGA_IDENTITY_MAX_M, symbols=tuple(symbols), tower=tower)
+    omega = check_omega_identities(sol, OMEGA_IDENTITY_MAX_M, symbols=tuple(symbols))
     failures = []
     for name, result in omega.items():
         if isinstance(result, dict) and result["failures"]:
             failures.append(_payload(sol, (name, result["failures"][:3])))
     report.record("omega_rewriting_identities", failures)
 
-    return red, perm, star_ok
 
-
-def _check_bijective(sol, report, props):
+def _check_bijective(sol, report):
+    props = properties(sol)
     inv = invert(sol)
     bad = [_payload(sol, f) for f in check_inverse(sol, inv)]
     if invert(inv) != sol:
@@ -178,7 +179,8 @@ def _check_bijective(sol, report, props):
         self_obs.append(_payload(sol, (forward.block_of, inverse.block_of)))
 
 
-def _check_left_nd(sol, report, props):
+def _check_left_nd(sol, report):
+    props = properties(sol)
     # when the forward relation respects the inverse left action and the
     # colon relation respects the left action, the two relations are equal
     forward = retract_relation(sol, "forward")
@@ -207,7 +209,7 @@ def _check_left_nd(sol, report, props):
     )
 
     U, U_hat, commute_failures = qcycle_diagonals(q)
-    d = diagonal_maps(sol, props)
+    d = diagonal_maps(sol)
     bad = []
     if U != d.U or U_hat != d.U_hat:
         bad.append(_payload(sol, (U, d.U, U_hat, d.U_hat)))
@@ -250,21 +252,22 @@ def _regular_colon_checks(sol, q, report):
             obs["examples_no"].append(_payload(sol, (qdot, qcolon)))
 
 
-def _check_diagonals(sol, report, props):
+def _check_diagonals(sol, report):
     """Bijectivity, diagonal and square-free claims of a non-degenerate
     solution; the whole battery at n = 4."""
+    props = properties(sol)
     report.record(
         "nondegenerate_is_bijective",
         [] if props.bijective else [_payload(sol, props.witnesses.get("bijective"))],
     )
 
-    d = diagonal_maps(sol, props)
+    d = diagonal_maps(sol)
     bad = []
     if sorted(d.U) != list(range(sol.n)) or sorted(d.T) != list(range(sol.n)):
         bad.append(_payload(sol, (d.U, d.T)))
     report.record("diagonals_are_bijections", bad)
 
-    theorems = check_diagonal_theorems(sol, d, props)
+    theorems = check_diagonal_theorems(sol)
     for key, entry_name in (
         ("u_that_mutually_inverse", "diagonal_inverse_pairs"),
         ("t_uhat_mutually_inverse", "diagonal_inverse_pairs"),
@@ -279,11 +282,12 @@ def _check_diagonals(sol, report, props):
         "square_free_iff_trivial_diagonals",
         [] if sqf == (d.U == identity and d.T == identity) else [_payload(sol, (sqf, d.U, d.T))],
     )
-    return d
 
 
-def _check_nondegenerate(sol, report, props, red, perm, star_ok):
-    d = _check_diagonals(sol, report, props)
+def _check_nondegenerate(sol, report):
+    _check_diagonals(sol, report)
+    props, d = properties(sol), diagonal_maps(sol)
+    perm, red = _tower_holds(sol)
 
     # degenerate distributive counterexamples exist, so scope this to the
     # non-degenerate population the cited equivalence is actually about
@@ -291,7 +295,7 @@ def _check_nondegenerate(sol, report, props, red, perm, star_ok):
         bad = [k for k in range(2, K_PERM_MAX + 1) if red[k] != perm[k]]
         report.record("distributive_reductive_iff_permutational", [_payload(sol, k) for k in bad])
 
-    identities = check_diagonal_identities(sol, d)
+    identities = check_diagonal_identities(sol)
     report.record(
         "diagonal_pointwise_identities",
         [_payload(sol, (name, pts)) for name, pts in identities.items() if pts],
@@ -303,7 +307,7 @@ def _check_nondegenerate(sol, report, props, red, perm, star_ok):
             [] if d.U == perm_inverse(d.T) else [_payload(sol, (d.U, d.T))],
         )
 
-    # one walk of the retract tower; its last quotient stands for every greater height
+    # the last quotient of the retract tower stands for every greater height
     tower = retract_tower(sol)
     quotients = (sol, *(step.quotient for step in tower))
     ret = tower[0]
@@ -326,13 +330,13 @@ def _check_nondegenerate(sol, report, props, red, perm, star_ok):
         [_payload(sol, pair) for pair in coincidence["disagreements"]],
     )
 
-    duality = check_retract_duality(sol, tower)
+    duality = check_retract_duality(sol)
     report.record(
         "retract_duality",
         [_payload(sol, (k, w)) for k, ws in duality.items() for w in ws],
     )
 
-    level, level_prime = retract_levels(sol, tower)
+    level, level_prime = retract_levels(sol)
     full = permutational_levels(sol, K_PERM_MAX, FULL_ALPHABET)
     hat = permutational_levels(sol, K_PERM_MAX, (SIGMA_INV, SIGMA_HAT_INV))
     bad = []
@@ -391,7 +395,7 @@ def _check_nondegenerate(sol, report, props, red, perm, star_ok):
     report.record("square_free_multipermutation_decomposable", bad)
 
     bad = []
-    if sol.n > 1 and star_ok and level is not None and not decomposable:
+    if sol.n > 1 and check_star_conditions(sol)[0] and level is not None and not decomposable:
         bad.append(_payload(sol, ("star", level)))
     report.record("star_multipermutation_decomposable", bad)
 
@@ -439,20 +443,20 @@ def theorem_suite(n_max, workers=1):
         for sol in enumerate_solutions(n, filt, workers=workers):
             count += 1
             props = properties(sol)
-            red, perm, star_ok = _check_universal(sol, report, props)
+            _check_universal(sol, report)
             if props.bijective:
-                _check_bijective(sol, report, props)
+                _check_bijective(sol, report)
             if props.left_nondegenerate:
-                _check_left_nd(sol, report, props)
+                _check_left_nd(sol, report)
             if props.nondegenerate:
-                _check_nondegenerate(sol, report, props, red, perm, star_ok)
+                _check_nondegenerate(sol, report)
         report.populations[n] = {"filter": filt.signature(), "count": count}
     if n_max >= 4:
         filt = EnumFilter(require_nd=True)
         count = 0
         for sol in enumerate_solutions(4, filt, workers=workers):
             count += 1
-            _check_diagonals(sol, report, properties(sol))
+            _check_diagonals(sol, report)
         report.populations[4] = {"filter": filt.signature(), "count": count}
     report.elapsed = time.perf_counter() - t0
     return report

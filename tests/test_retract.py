@@ -252,7 +252,7 @@ def test_tower_views_match_the_per_height_loops(suite_populations, nd4_populatio
         assert sizes[-1] == 1 or sizes[-1] == sizes[-2], sol
         assert retract(quotients[-1]).quotient == quotients[-1], sol
         if not isinstance(expected[0], tuple):
-            assert retract_levels(sol, tower) == expected, sol
+            assert retract_levels(sol) == expected, sol
     # stalled and collapsing towers of several heights, and degenerate inputs
     values = {v for pair in levels for v in pair}
     assert {None, 0, 1, 2, 3} <= values
