@@ -316,8 +316,26 @@ def build_parser():
 
 
 def main(argv=None):
+    """Parse argv once, by the named command's parser when its first item
+    names one, and run the command."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    commands = next(action.choices for action in parser._actions if action.dest == "command")
+    if argv and argv[0] in commands:
+        args, extra = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        if extra:
+            # the message and usage line the top-level parser would give
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        # no command first: the top-level parser reports the usage error or help
+        args = parser.parse_args(argv)
+    return _run(args)
+
+
+def _run(args):
+    """Run the command of parsed arguments and map its errors to exit codes."""
     try:
         # enumerate and suite take --workers
         if getattr(args, "workers", 1) < 1:

@@ -30,7 +30,7 @@ theorem alone.
 Operation tables are indexed like the solution tables: op[y][x] = y |> x.
 """
 
-from itertools import permutations, product
+from itertools import permutations
 
 from .core import (
     FiniteSolution,

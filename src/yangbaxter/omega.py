@@ -19,12 +19,15 @@ every verdict exact for any n and k.  Each job has one place:
   is the row inverses of its base;
 * _tower_levels builds the distinct maps of each height, each with one
   back-pointer to a map one step shorter that it extends;
+* _getter is the one composition kernel: every composition of two maps in
+  the build, the readers, the folds and the identity checks goes through it,
+  an operator.itemgetter over the inner map's values;
 * two readers decide on those maps: _first_nonconstant finds the first map
   that is not constant (level-k permutational), and _first_step_failures
   the towers whose first step changes their value (k-reductive, and the
   inverse-start identity);
 * check_omega_identities carries one scalar fold per map from every base
-  (_folds), each extended from its parent's by one step;
+  (_folds), each its parent's fold read through the step's table column;
 * _tower_path follows the back-pointers of a map to one word and argument
   list; it is the only path builder, and runs only for a witness or a
   failure.
@@ -39,6 +42,7 @@ held too.
 """
 
 from itertools import product
+from operator import itemgetter
 
 from .core import _held, invert, is_permutation, left_nondegenerate, right_nondegenerate, row_inverses
 from .errors import (
@@ -142,6 +146,16 @@ def omega_eval(sol, word, x, zs):
     return _eval(tables, word, x, zs)
 
 
+def _getter(f):
+    """The composition kernel: a callable that sends a map g, as the tuple
+    of its values, to g after f, (g[f[0]], ..., g[f[n-1]]), in one C call.
+    On one point itemgetter would return the bare item, so it is wrapped."""
+    if len(f) == 1:
+        v = f[0]
+        return lambda g: (g[v],)
+    return itemgetter(*f)
+
+
 def _tower_levels(tables, alphabet, n, height):
     """The maps of all towers of height 0..height over the alphabet.
 
@@ -156,18 +170,22 @@ def _tower_levels(tables, alphabet, n, height):
     """
     steps = {}
     for s in alphabet:
-        for z in range(n):
-            steps.setdefault(tuple(row[z] for row in tables[s]), (s, z))
-    successors = {}
-    levels = [{tuple(range(n)): None}]
+        # the step map of argument z is column z of the table
+        for z, g in enumerate(zip(*tables[s])):
+            steps.setdefault(g, (s, z))
+    identity = tuple(range(n))
+    # a step after the identity is the step itself
+    successors = {identity: {g: (identity, s, z) for g, (s, z) in steps.items()}}
+    levels = [{identity: None}]
     for _ in range(height):
         level = {}
         for f in levels[-1]:
             after = successors.get(f)
             if after is None:
                 after = successors[f] = {}
+                compose = _getter(f)
                 for g, (s, z) in steps.items():
-                    after.setdefault(tuple(map(g.__getitem__, f)), (f, s, z))
+                    after.setdefault(compose(g), (f, s, z))
             for h, pointer in after.items():
                 level.setdefault(h, pointer)
         levels.append(level)
@@ -232,12 +250,16 @@ def _first_step_failures(tables, levels, h, first_symbols):
     tower started at the first argument.  levels holds the {sigma, tau}
     tower maps up to height h at least.  Yields (word, x, zs)."""
     n = len(tables[SIGMA])
-    rows = [(s, x, tables[first_symbols[s]][x]) for s in DEFAULT_ALPHABET for x in range(n)]
+    rows = []
+    for s in DEFAULT_ALPHABET:
+        for x in range(n):
+            row = tables[first_symbols[s]][x]
+            rows.append((s, x, row, _getter(row)))
     for g in levels[h]:
         path = None
-        for s, x, row in rows:
+        for s, x, row, after in rows:
             # g after the first step's row equals g unless some z fails
-            if tuple(map(g.__getitem__, row)) == g:
+            if after(g) == g:
                 continue
             if path is None:
                 path = _tower_path(levels, h, g)
@@ -371,14 +393,15 @@ def closed_form_T_inverse(sol, k, reductive=False):
 def _folds(tables, levels, height):
     """For each height h up to height, {f: fold} over the height-h maps in
     order: the scalar fold of f's back-pointer path from every base.  Each
-    extends its parent's fold by one step through the tables, so no fold
+    is its parent's fold read through the step's table column, so no fold
     above height 0 is read from its map."""
+    columns = {s: tuple(zip(*table)) for s, table in tables.items()}
     # the empty tower: the identity map, which levels[0] holds alone
     folds = [{f: f for f in levels[0]}]
     for level in levels[1 : height + 1]:
         parents = folds[-1]
         folds.append(
-            {f: tuple(tables[s][v][z] for v in parents[p]) for f, (p, s, z) in level.items()}
+            {f: _getter(parents[p])(columns[s][z]) for f, (p, s, z) in level.items()}
         )
     return folds
 
@@ -446,7 +469,8 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
                 word, zs = _tower_path(levels, m, f)
                 failures.extend((word, x, zs, f[x]) for x in carrier if fold[x] != f[x])
         # composing every height-(m-1) map after every single step
-        prepended = {tuple(map(f.__getitem__, g)) for f in shorter for g in levels[1]}
+        steps = [_getter(g) for g in levels[1]]
+        prepended = {after(f) for f in shorter for after in steps}
         failures.extend(("prepend", f) for f in prepended ^ level.keys())
         record(f"peel_one_m{m}", len(level) * n + len(shorter) * len(levels[1]), failures)
 
@@ -455,7 +479,7 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
         for j in range(m + 1):
             # the split j = 1 is the set prepended, built the same way
             split = prepended if j == 1 else {
-                tuple(map(b.__getitem__, a)) for a in levels[j] for b in levels[m - j]
+                after(b) for after in map(_getter, levels[j]) for b in levels[m - j]
             }
             checked += len(levels[j]) * len(levels[m - j])
             failures.extend(("split", j, f) for f in split ^ level.keys())

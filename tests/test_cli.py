@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -460,6 +461,82 @@ def test_help_matches_a_freshly_built_parser(command, capsys):
             main([*command, "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out == fresh
+
+
+# Command lines for the parse parity test, F standing for a fixture document:
+# help and usage errors at the top level and in each command, leftovers, "--",
+# abbreviations and bad values.
+PARSE_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["Analyze", "F"],
+    ["-x", "analyze", "F"],
+    ["--json", "analyze", "F"],
+    ["analyze"],
+    ["analyze", "-h"],
+    ["analyze", "F", "-h"],
+    ["analyze", "F", "--h"],
+    ["analyze", "F", "--no-such-flag"],
+    ["analyze", "F", "--max-k", "x"],
+    ["analyze", "F", "--max-k"],
+    ["analyze", "F", "--max-k", "-1"],
+    ["analyze", "F", "--json", "extra"],
+    ["analyze", "F", "--json", "extra", "--nope"],
+    ["analyze", "--", "F", "--json"],
+    ["analyze", "--json", "--", "F"],
+    ["analyze", "F", "--ma", "2", "--kperm"],
+    ["analyze", "F", "--kred", "--max-k=1", "--json", "--json"],
+    ["analyze", "--json", "F", "--star"],
+    ["analyze", "no-such-file.json"],
+    ["validate", "F", "--json", "--nope", "x"],
+    ["validate", "F"],
+    ["validate"],
+    ["enumerate", "x"],
+    ["enumerate", "2", "--census", "--json"],
+    ["enumerate", "2", "--census", "--workers", "0"],
+    ["suite", "-h"],
+    ["suite", "--n"],
+    ["suite", "--n-max", "0"],
+]
+
+
+def _outcome(run, argv, capsys):
+    """Exit code, stdout and stderr of run(argv), whether it returns or exits."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("case", PARSE_CASES, ids=" ".join)
+def test_one_parse_matches_the_top_level_parse(case, capsys):
+    argv = [str(fixture_path("lyubashenko3.json")) if a == "F" else a for a in case]
+
+    def reference(argv):
+        return cli._run(build_parser.__wrapped__().parse_args(argv))
+
+    expected = _outcome(reference, argv, capsys)
+    assert _outcome(main, argv, capsys) == expected
+    # a second call reuses the cached parser
+    assert _outcome(main, argv, capsys) == expected
+
+
+def test_each_command_line_is_parsed_once(monkeypatch, capsys):
+    parsers = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsers.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert main(["analyze", str(fixture_path("lyubashenko3.json")), "--json"]) == 0
+    assert parsers == ["yangbaxter analyze"]
+    assert json.loads(capsys.readouterr().out)["n"] == 3
 
 
 def test_stdout_bytes_and_exit_codes_are_pinned(tmp_path, capsys):

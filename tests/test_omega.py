@@ -1,3 +1,4 @@
+import random
 import sys
 from itertools import product
 
@@ -42,11 +43,30 @@ from yangbaxter.omega import (
     TAU,
     TAU_HAT,
     TAU_INV,
+    _getter,
     action_tables,
     check_reductive_inverse_start,
     reductive_inverse_start_levels,
     tower_verdicts,
 )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_getter_composes_every_pair_of_maps(n):
+    maps = list(product(range(n), repeat=n))
+    for f in maps:
+        after = _getter(f)
+        for g in maps:
+            assert after(g) == tuple(g[v] for v in f), (f, g)
+
+
+def test_getter_composes_sampled_maps_on_four_points():
+    rng = random.Random(20261020)
+    maps = list(product(range(4), repeat=4))
+    for f in rng.sample(maps, 64):
+        after = _getter(f)
+        for g in rng.sample(maps, 64):
+            assert after(g) == tuple(g[v] for v in f), (f, g)
 
 
 def test_empty_tower_returns_base():
