@@ -18,7 +18,7 @@ from .core import FiniteSolution, invert, properties, validate_braid
 from .diagonals import check_diagonal_identities, check_diagonal_theorems, diagonal_maps
 from .documents import load_document, save_document, solution_to_document
 from .errors import DomainError, InputError
-from .omega import check_omega_identities, check_star_conditions, tower_verdicts
+from .omega import check_omega_identities, check_star_conditions, permutational_levels, reductive_levels
 from .orbits import _decomposable, _orbit_partition, orbit_decomposition
 from .qcycle import from_solution, is_regular, qcycle_diagonals, to_solution, validate_qcycle
 from .retract import Partition, mpl, mpl_prime, retract
@@ -146,19 +146,12 @@ def cmd_analyze(args):
         report["mpl"] = mpl(sol)
     if args.mpl_prime:
         report["mpl_prime"] = mpl_prime(sol)
-    if args.kperm or args.kred:
-        # bounds -1 and 0 ask tower_verdicts for no heights
-        perm, red = tower_verdicts(
-            sol, args.max_k if args.kperm else -1, args.max_k if args.kred else 0
-        )
-        if args.kperm:
-            report["k_permutational"] = {
-                k: {"holds": ok, "witness": witness} for k, (ok, witness) in perm.items()
-            }
-        if args.kred:
-            report["k_reductive"] = {
-                k: {"holds": ok, "witness": witness} for k, (ok, witness) in red.items()
-            }
+    if args.kperm:
+        perm = permutational_levels(sol, args.max_k)
+        report["k_permutational"] = {k: {"holds": ok, "witness": w} for k, (ok, w) in perm.items()}
+    if args.kred:
+        red = reductive_levels(sol, args.max_k)
+        report["k_reductive"] = {k: {"holds": ok, "witness": w} for k, (ok, w) in red.items()}
     if args.star:
         ok, sigma_fixers, tau_fixers = check_star_conditions(sol)
         report["star_conditions"] = {

@@ -10,7 +10,7 @@ all tables stay integer-indexed.
 import json
 
 from .core import FiniteSolution
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .qcycle import QCycleSet
 
 FORMAT_VERSION = 1
@@ -94,6 +94,9 @@ def load_document(path):
 
 
 def save_document(path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc

@@ -32,19 +32,19 @@ every verdict exact for any n and k.  Each job has one place:
   list; it is the only path builder, and runs only for a witness or a
   failure.
 
-permutational_levels and reductive_levels read the verdicts of every height
-up to a bound from one build, and tower_verdicts reads both from one build;
-is_k_permutational and is_k_reductive are their one-height views.  The
-{sigma, tau} maps are held on the solution at the greatest height asked for
-so far (_sigma_tau_levels), so tower_verdicts, check_omega_identities and
-the inverse-start identity read one build, and each tower_verdicts result is
-held too.
+Each build is held on the solution per alphabet, at the greatest height
+asked for so far (_held_levels, the only caller of _tower_levels), and every
+reader reads it: permutational_levels, reductive_levels, tower_verdicts,
+the inverse-start identity, and check_omega_identities for its own alphabet
+and drop_base.  is_k_permutational and is_k_reductive are the one-height
+views, and each tower_verdicts result is held too.
 """
 
 from itertools import product
 from operator import itemgetter
 
 from .core import _held, invert, is_permutation, left_nondegenerate, right_nondegenerate, row_inverses
+from .diagonals import diagonal_maps
 from .errors import (
     ClosedFormMismatch,
     NotBijective,
@@ -192,6 +192,19 @@ def _tower_levels(tables, alphabet, n, height):
     return levels
 
 
+def _held_levels(sol, tables, alphabet, height):
+    """_tower_levels over sol's action tables of the alphabet, held on sol
+    per alphabet at the greatest height asked for so far: the maps of a
+    height do not depend on how far the build goes, so a taller build serves
+    every lower height.  It is the only caller of _tower_levels."""
+    builds = sol.__dict__.setdefault("_facts", {})
+    key = (_held_levels, alphabet)
+    levels = builds.get(key)
+    if levels is None or len(levels) <= height:
+        levels = builds[key] = _tower_levels(tables, alphabet, sol.n, height)
+    return levels
+
+
 def _tower_path(levels, h, f):
     """A word and arguments whose height-h tower has the map f."""
     word, zs = [], []
@@ -229,8 +242,8 @@ def permutational_levels(sol, k_max, alphabet=DEFAULT_ALPHABET):
     tower maps over the alphabet: {k: (holds, witness)}."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    tables = action_tables(sol, alphabet)
-    return _permutational_verdicts(_tower_levels(tables, alphabet, sol.n, k_max), k_max)
+    levels = _held_levels(sol, action_tables(sol, alphabet), tuple(alphabet), k_max)
+    return _permutational_verdicts(levels, k_max)
 
 
 def is_k_permutational(sol, k, alphabet=DEFAULT_ALPHABET):
@@ -244,17 +257,19 @@ def is_k_permutational(sol, k, alphabet=DEFAULT_ALPHABET):
     return permutational_levels(sol, k, alphabet)[k]
 
 
-def _first_step_failures(tables, levels, h, first_symbols):
+def _first_step_rows(tables, first_symbols):
+    """(s, x, row, a getter of row) for each first symbol s of {sigma, tau}
+    and base x, where row, tables[first_symbols[s]][x], is what it reads."""
+    return [
+        (s, x, row, _getter(row)) for s in DEFAULT_ALPHABET for x, row in enumerate(tables[first_symbols[s]])
+    ]
+
+
+def _first_step_failures(rows, levels, h):
     """Height-(h+1) towers over {sigma, tau} whose first step, read through
-    first_symbols[word[0]], changes their value from that of the height-h
-    tower started at the first argument.  levels holds the {sigma, tau}
-    tower maps up to height h at least.  Yields (word, x, zs)."""
-    n = len(tables[SIGMA])
-    rows = []
-    for s in DEFAULT_ALPHABET:
-        for x in range(n):
-            row = tables[first_symbols[s]][x]
-            rows.append((s, x, row, _getter(row)))
+    its row in rows, changes their value from that of the height-h tower
+    started at the first argument.  levels holds the {sigma, tau} tower
+    maps up to height h at least.  Yields (word, x, zs)."""
     for g in levels[h]:
         path = None
         for s, x, row, after in rows:
@@ -264,36 +279,23 @@ def _first_step_failures(tables, levels, h, first_symbols):
             if path is None:
                 path = _tower_path(levels, h, g)
             word, zs = path
-            for z in range(n):
+            for z in range(len(g)):
                 if g[row[z]] != g[z]:
                     yield (s,) + word, x, (z,) + zs
 
 
 def _reductive_verdicts(tables, levels, k_max):
-    verdicts = {}
-    for k in range(1, k_max + 1):
-        witness = next(_first_step_failures(tables, levels, k - 1, {SIGMA: SIGMA, TAU: TAU}), None)
-        verdicts[k] = (witness is None, witness)
-    return verdicts
+    rows = _first_step_rows(tables, {SIGMA: SIGMA, TAU: TAU})
+    witnesses = {k: next(_first_step_failures(rows, levels, k - 1), None) for k in range(1, k_max + 1)}
+    return {k: (witness is None, witness) for k, witness in witnesses.items()}
 
 
 def reductive_levels(sol, k_max):
-    """is_k_reductive for every k = 1..k_max, from one build of the
-    {sigma, tau} tower maps up to height k_max - 1: {k: (holds, witness)},
-    empty when k_max < 1."""
-    return tower_verdicts(sol, -1, k_max)[1]
-
-
-def _sigma_tau_levels(sol, height):
-    """The {sigma, tau} tower maps of every height up to height at least,
-    held on sol at the greatest height asked for so far: the maps of a
-    height do not depend on how far the build goes, so a taller build
-    serves every lower height."""
-    levels = vars(sol).get("_sigma_tau_levels")
-    if levels is None or len(levels) <= height:
-        tables = action_tables(sol, DEFAULT_ALPHABET)
-        levels = sol._sigma_tau_levels = _tower_levels(tables, DEFAULT_ALPHABET, sol.n, height)
-    return levels
+    """is_k_reductive for every k = 1..k_max, from the {sigma, tau} tower
+    maps up to height k_max - 1: {k: (holds, witness)}, empty when
+    k_max < 1."""
+    tables = action_tables(sol, DEFAULT_ALPHABET)
+    return _reductive_verdicts(tables, _held_levels(sol, tables, DEFAULT_ALPHABET, k_max - 1), k_max)
 
 
 @_held
@@ -303,8 +305,8 @@ def tower_verdicts(sol, k_perm_max, k_red_max):
     the greater height either needs; a map is empty when its bound is below
     its first height.  Each verdict and witness is the one-height
     decider's."""
-    tower = _sigma_tau_levels(sol, max(k_perm_max, k_red_max - 1))
     tables = action_tables(sol, DEFAULT_ALPHABET)
+    tower = _held_levels(sol, tables, DEFAULT_ALPHABET, max(k_perm_max, k_red_max - 1))
     return _permutational_verdicts(tower, k_perm_max), _reductive_verdicts(tables, tower, k_red_max)
 
 
@@ -352,8 +354,8 @@ def closed_form_inverse(sol, height, symbol):
     non-degenerate on that side; the caller holds that verdict.  Raises
     ClosedFormMismatch, with the failing points as witness, otherwise."""
     table = _closed_form(sol, height, symbol)
-    rows, name = {SIGMA: (sol.sigma, "U"), TAU: (sol.tau, "T")}[symbol]
-    diagonal = tuple(rows[x].index(x) for x in range(sol.n))
+    name = {SIGMA: "U", TAU: "T"}[symbol]
+    diagonal = getattr(diagonal_maps(sol), name)
     bad = [x for x in range(sol.n) if table[diagonal[x]] != x or diagonal[table[x]] != x]
     if bad:
         raise ClosedFormMismatch(f"closed form does not invert {name}", witness=bad)
@@ -444,7 +446,7 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
     usable = tuple(tables) if symbols is None else tuple(symbols)
     # only pair a symbol with its inverse when both sit in the alphabet
     invertible = tuple(s for s in usable if INVERSE_OF[s] in tables)
-    levels = _tower_levels(tables, usable, n, max_m)
+    levels = _held_levels(sol, tables, usable, max_m)
     folds = _folds(tables, levels, max_m)
     report = {"seed": seed}
     # The tower (g,) + rest fed (a,) + zs from x is the tower rest fed zs from
@@ -503,7 +505,7 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
 
     # the {sigma, tau} maps decide the level and feed drop_base
     tables = action_tables(sol, DEFAULT_ALPHABET)
-    tower = _sigma_tau_levels(sol, max_m - 1)
+    tower = _held_levels(sol, tables, DEFAULT_ALPHABET, max_m - 1)
     perm_level = next((k for k in range(max_m) if _first_nonconstant(tower, k) is None), None)
     report["permutational_level_bound"] = perm_level
     if perm_level is not None:
@@ -532,9 +534,9 @@ def reductive_inverse_start_levels(sol, ks):
     if not ks:
         return {}
     tables = action_tables(sol, FULL_ALPHABET)
-    levels = _sigma_tau_levels(sol, max(ks) - 1)
-    inverses = {SIGMA: SIGMA_INV, TAU: TAU_INV}
-    return {k: list(_first_step_failures(tables, levels, k - 1, inverses)) for k in ks}
+    rows = _first_step_rows(tables, {SIGMA: SIGMA_INV, TAU: TAU_INV})
+    levels = _held_levels(sol, tables, DEFAULT_ALPHABET, max(ks) - 1)
+    return {k: list(_first_step_failures(rows, levels, k - 1)) for k in ks}
 
 
 def check_reductive_inverse_start(sol, k):

@@ -145,9 +145,10 @@ def _check_universal(sol, report):
         bad = [k for k in range(1, K_PERM_MAX + 1) if perm[k] != red[k]]
         report.record("star_permutational_iff_reductive", [_payload(sol, k) for k in bad])
 
+    # in FULL_ALPHABET order, as the multipermutation entry reads this build
     symbols = [SIGMA, TAU]
     if props.left_nondegenerate:
-        symbols.append(SIGMA_INV)
+        symbols.insert(1, SIGMA_INV)
     if props.right_nondegenerate:
         symbols.append(TAU_INV)
     omega = check_omega_identities(sol, OMEGA_IDENTITY_MAX_M, symbols=tuple(symbols))

@@ -301,11 +301,18 @@ def test_enumerate_writes_documents(tmp_path, capsys):
 
 
 def test_enumerate_out_is_a_file_exits_2(tmp_path, capsys):
+    # --out names a file, or a directory where the first document's path is
+    # a directory
     out = tmp_path / "taken"
     out.write_text("")
     assert main(["enumerate", "1", "--out", str(out)]) == 2
     assert "InputError" in capsys.readouterr().err
     assert out.read_text() == ""
+    first = tmp_path / "out" / "sol_000000.json"
+    first.mkdir(parents=True)
+    assert main(["enumerate", "1", "--out", str(first.parent)]) == 2
+    assert f"InputError: cannot write {first}" in capsys.readouterr().err
+    assert first.is_dir() and not any(first.iterdir())
 
 
 def test_enumerate_out_of_reach_leaves_no_out_directory(tmp_path, monkeypatch, capsys):

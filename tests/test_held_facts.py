@@ -14,6 +14,7 @@ from yangbaxter import (
     FiniteSolution,
     NotNondegenerate,
     QCycleSet,
+    SymbolUnavailable,
     from_solution,
     orbit_decomposition,
     to_solution,
@@ -24,7 +25,10 @@ from yangbaxter.documents import solution_to_document
 from yangbaxter.fixtures import left_only3, lyubashenko3, z3group
 from yangbaxter.omega import (
     DEFAULT_ALPHABET,
-    _sigma_tau_levels,
+    FULL_ALPHABET,
+    SIGMA_HAT_INV,
+    SIGMA_INV,
+    _held_levels,
     _tower_levels,
     action_tables,
     check_omega_identities,
@@ -45,7 +49,7 @@ HELD_READS = [
     (retract_levels, ()),
     (diagonal_maps, ()),
     (tower_verdicts, (2, 3)),
-    (tower_verdicts, (-1, 2)),
+    (tower_verdicts, (3, 4)),
 ]
 
 
@@ -82,15 +86,21 @@ def test_held_facts_equal_fresh_ones(population, suite_populations, nd4_populati
                 failing += 1
             else:
                 assert second[1] is first[1], (fn.__name__, args, sol)
-        # a build held at height 3 serves height 2 with the maps a height-2
-        # build gives, in the same order
-        levels = _sigma_tau_levels(sol, 3)
-        assert _sigma_tau_levels(sol, 2) is levels
-        tables = action_tables(sol, DEFAULT_ALPHABET)
-        fresh = _tower_levels(tables, DEFAULT_ALPHABET, sol.n, 2)
-        assert [list(level.items()) for level in levels[:3]] == [
-            list(level.items()) for level in fresh
-        ], sol
+        # for each alphabet the tower readers build, a build held at height 3
+        # serves height 2 with the maps a fresh height-2 build gives, in the
+        # same order
+        suite_alphabet = tuple(action_tables(sol, FULL_ALPHABET, skip_unavailable=True))
+        for alphabet in (DEFAULT_ALPHABET, FULL_ALPHABET, suite_alphabet, (SIGMA_INV, SIGMA_HAT_INV)):
+            try:
+                tables = action_tables(sol, alphabet)
+            except SymbolUnavailable:
+                continue
+            levels = _held_levels(sol, tables, alphabet, 3)
+            assert _held_levels(sol, tables, alphabet, 2) is levels
+            fresh = _tower_levels(tables, alphabet, sol.n, 2)
+            assert [list(level.items()) for level in levels[:3]] == [
+                list(level.items()) for level in fresh
+            ], (sol, alphabet)
     assert failing > 0 if population == "n<=3" else failing == 0
 
 
