@@ -2,7 +2,9 @@
 
 Subcommands: validate, analyze, enumerate, suite.  Exit status contract:
 0 success, 1 mathematical failure (violations, counterexamples, unmet
-mathematical preconditions), 2 unreadable or malformed input.
+mathematical preconditions), 2 unreadable or malformed input.  A stdout
+closed by its reader (``yangbaxter enumerate 3 | head -1``) ends the command
+with status 1 and no traceback.
 """
 
 import argparse
@@ -324,7 +326,19 @@ def main(argv=None):
     else:
         # no command first: the top-level parser reports the usage error or help
         args = parser.parse_args(argv)
-    return _run(args)
+    try:
+        status = _run(args)
+        # flushed here, so that a closed stdout is caught below, not at exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to the null device,
+        # so the flush at exit raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        # the status the uncaught error gave
+        return 1
 
 
 def _run(args):

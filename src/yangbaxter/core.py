@@ -83,11 +83,15 @@ def _held(fn):
 
     @functools.wraps(fn)
     def held(sol, *args, **kwargs):
-        facts = sol.__dict__.setdefault("_facts", {})
+        facts = sol.__dict__.get("_facts")
+        if facts is None:
+            facts = sol._facts = {}
         key = (fn, args, *kwargs.items()) if kwargs else (fn, args)
-        if key not in facts:
-            facts[key] = fn(sol, *args, **kwargs)
-        return facts[key]
+        # held itself stands for a fact not decided yet
+        value = facts.get(key, held)
+        if value is held:
+            value = facts[key] = fn(sol, *args, **kwargs)
+        return value
 
     return held
 
@@ -147,9 +151,9 @@ def require_nondegenerate(sol, operation):
         raise NotNondegenerate(f"{operation} needs a non-degenerate solution")
 
 
-def _component_identities(sol, x, y, z):
-    """The three per-triple identities that, together, restate the braid relation."""
-    s, t = sol.sigma, sol.tau
+def _component_identities(s, t, x, y, z):
+    """The three per-triple identities that, together, restate the braid
+    relation, on the tables s = sigma and t = tau."""
     c1 = s[x][s[y][z]] == s[s[x][y]][s[t[y][x]][z]]
     c2 = t[s[t[y][x]][z]][s[x][y]] == s[t[s[y][z]][x]][t[z][y]]
     c3 = t[z][t[y][x]] == t[t[z][y]][t[s[y][z]][x]]
@@ -187,15 +191,23 @@ def validate_braid(sol):
     return violations
 
 
+@_held
+def _braid_violations(sol):
+    """validate_braid(sol), held on sol for the readers of one solution's
+    facts; validate_braid itself holds nothing, so the searches do not."""
+    return validate_braid(sol)
+
+
 def check_braid_routes(sol):
     """All triples where the literal composition and the component identities
     disagree on whether the braid relation holds (expected none), which guards
     each form against transcription errors in the other."""
-    violations = set(validate_braid(sol))
+    violations = set(_braid_violations(sol))
+    s, t = sol.sigma, sol.tau
     return [
         (x, y, z)
         for x, y, z in product(range(sol.n), repeat=3)
-        if ((x, y, z) not in violations) != _component_identities(sol, x, y, z)
+        if ((x, y, z) not in violations) != _component_identities(s, t, x, y, z)
     ]
 
 
@@ -211,7 +223,7 @@ def _row_collision(table):
     return None
 
 
-def _preimages(sol):
+def _scan_preimages(sol):
     """({r(x, y): (x, y)}, None) when the pair map is injective, else the
     pairs read up to the first collision and (earlier input, later input)
     for it; inputs are read in lexicographic order."""
@@ -225,10 +237,16 @@ def _preimages(sol):
     return preimage, None
 
 
+@_held
+def _preimages(sol):
+    """_scan_preimages(sol), held on sol: properties and invert read one scan."""
+    return _scan_preimages(sol)
+
+
 def bijective_witness(sol):
     """Two inputs of the pair map with the same image, or None when it is
-    bijective."""
-    return _preimages(sol)[1]
+    bijective.  It holds nothing, so the search filter does not either."""
+    return _scan_preimages(sol)[1]
 
 
 def involutive_witness(sol):
@@ -253,14 +271,14 @@ def square_free_witness(sol):
 @_held
 def properties(sol):
     """Compute every elementary flag by direct definition, with witnesses."""
-    violations = validate_braid(sol)
+    violations = _braid_violations(sol)
     found = {
         "braid_ok": violations[0] if violations else None,
         "left_nondegenerate": _row_collision(sol.sigma),
         "right_nondegenerate": _row_collision(sol.tau),
     }
     found["nondegenerate"] = found["left_nondegenerate"] or found["right_nondegenerate"]
-    found["bijective"] = bijective_witness(sol)
+    found["bijective"] = _preimages(sol)[1]
     found["involutive"] = involutive_witness(sol)
     found["square_free"] = square_free_witness(sol)
     return PropertyReport(
@@ -321,7 +339,7 @@ def check_inverse(sol, inv):
             for x, y in product(range(n), repeat=2)
             if hs[x][t[sig_inv[y][x]][y]] != y
         )
-    failures.extend(("inverse_braid", v) for v in validate_braid(inv))
+    failures.extend(("inverse_braid", v) for v in _braid_violations(inv))
     return failures
 
 

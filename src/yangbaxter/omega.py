@@ -16,7 +16,7 @@ every verdict exact for any n and k.  Each job has one place:
 
 * action_tables builds every action table: sigma and tau are the solution's,
   sigma_hat and tau_hat come from one inversion of it, and each *_inv table
-  is the row inverses of its base;
+  is the row inverses of its base, held on the solution per symbol;
 * _tower_levels builds the distinct maps of each height, each with one
   back-pointer to a map one step shorter that it extends;
 * _getter is the one composition kernel: every composition of two maps in
@@ -27,7 +27,9 @@ every verdict exact for any n and k.  Each job has one place:
   the towers whose first step changes their value (k-reductive, and the
   inverse-start identity);
 * check_omega_identities carries one scalar fold per map from every base
-  (_folds), each its parent's fold read through the step's table column;
+  (_folds), each its parent's fold read through the step's table column,
+  makes one getter per map (_Getters), and compares whole maps and folds,
+  listing single points only for a map that fails;
 * _tower_path follows the back-pointers of a map to one word and argument
   list; it is the only path builder, and runs only for a witness or a
   failure.
@@ -90,11 +92,11 @@ def action_tables(sol, symbols, skip_unavailable=False):
     """The action table of each requested symbol: table[x][z] applies the
     translation indexed by x to z.  sigma and tau are the solution's tables,
     sigma_hat and tau_hat those of its inverse, which the first hatted symbol
-    computes once, and each *_inv table is the row inverses of its base.
-    Raises SymbolUnavailable, for the first symbol in order that it
-    concerns, when the solution lacks the invertibility a symbol needs or
-    the symbol is unknown; with skip_unavailable that symbol is left out
-    instead."""
+    computes once, and each *_inv table is the row inverses of its base,
+    held on sol per symbol.  Raises SymbolUnavailable, for the first symbol
+    in order that it concerns, when the solution lacks the invertibility a
+    symbol needs or the symbol is unknown; with skip_unavailable that symbol
+    is left out instead."""
     bases = {SIGMA: sol.sigma, TAU: sol.tau}
     tables = {}
     for s in symbols:
@@ -112,8 +114,17 @@ def action_tables(sol, symbols, skip_unavailable=False):
                     ) from exc
                 bases[SIGMA_HAT], bases[TAU_HAT] = inv_sol.sigma, inv_sol.tau
             root = s if s in bases else INVERSE_OF[s]
-            if bases[root] is not None:
-                tables[s] = bases[root] if root == s else _inverse_rows(bases[root], s)
+            if bases[root] is None:
+                continue
+            if root == s:
+                tables[s] = bases[s]
+            else:
+                # held on sol per symbol; a failure is raised again each time
+                facts = sol.__dict__.setdefault("_facts", {})
+                key = (_inverse_rows, s)
+                if key not in facts:
+                    facts[key] = _inverse_rows(bases[root], s)
+                tables[s] = facts[key]
         except SymbolUnavailable:
             if not skip_unavailable:
                 raise
@@ -327,16 +338,20 @@ def check_star_conditions(sol):
     Returns (ok, sigma_fixers, tau_fixers); the fixer tuples hold, for each x,
     a witness subscript whose translation fixes x, or None.
     """
-    n = sol.n
-    sigma_fixers = []
-    tau_fixers = []
-    for x in range(n):
-        # prefer the element itself, so square-free solutions witness themselves
-        order = (x, *(y for y in range(n) if y != x))
-        sigma_fixers.append(next((y for y in order if sol.sigma[y][x] == x), None))
-        tau_fixers.append(next((z for z in order if sol.tau[z][x] == x), None))
-    ok = all(w is not None for w in sigma_fixers) and all(w is not None for w in tau_fixers)
-    return ok, tuple(sigma_fixers), tuple(tau_fixers)
+    sigma_fixers, tau_fixers = _fixers(sol.sigma), _fixers(sol.tau)
+    ok = None not in sigma_fixers and None not in tau_fixers
+    return ok, sigma_fixers, tau_fixers
+
+
+def _fixers(table):
+    """For each x, x itself when its own translation fixes it (so square-free
+    solutions witness themselves), else the least subscript whose
+    translation fixes x, or None: column x of the table lists the images of
+    x under each translation."""
+    return tuple(
+        x if column[x] == x else column.index(x) if x in column else None
+        for x, column in enumerate(zip(*table))
+    )
 
 
 def _closed_form(sol, height, symbol):
@@ -392,18 +407,26 @@ def closed_form_T_inverse(sol, k, reductive=False):
     return closed_form_inverse(sol, _closed_form_height(sol, k, reductive), TAU)
 
 
-def _folds(tables, levels, height):
+class _Getters(dict):
+    """{f: _getter(f)}, each made on the first read of its map f."""
+
+    def __missing__(self, f):
+        after = self[f] = _getter(f)
+        return after
+
+
+def _folds(tables, levels, height, getters):
     """For each height h up to height, {f: fold} over the height-h maps in
     order: the scalar fold of f's back-pointer path from every base.  Each
     is its parent's fold read through the step's table column, so no fold
-    above height 0 is read from its map."""
+    above height 0 is read from its map.  getters is a _Getters."""
     columns = {s: tuple(zip(*table)) for s, table in tables.items()}
     # the empty tower: the identity map, which levels[0] holds alone
     folds = [{f: f for f in levels[0]}]
     for level in levels[1 : height + 1]:
         parents = folds[-1]
         folds.append(
-            {f: _getter(parents[p])(columns[s][z]) for f, (p, s, z) in level.items()}
+            {f: getters[parents[p]](columns[s][z]) for f, (p, s, z) in level.items()}
         )
     return folds
 
@@ -424,12 +447,14 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
                    forgets both its base and its first argument.
 
     The first two compare the composed tower maps with the scalar fold and
-    with each other; inverse_seed evaluates the scalar fold from every base.
-    Each map carries its scalar fold from every base, extended from its
-    back-pointer parent's by one step, and a failing map traces its word and
-    arguments back through its back-pointers.  inverse_shift and drop_base
-    read each case, whatever its first step and base, from the fold of the
-    tower behind the first step, so every case is covered.
+    with each other, a whole map at a time; inverse_seed evaluates the
+    scalar fold from every base, one step past the height below.  Each map
+    carries its scalar fold from every base, extended from its back-pointer
+    parent's by one step, and a failing map traces its word and arguments
+    back through its back-pointers.  inverse_shift and drop_base read each
+    case, whatever its first step and base, from the fold of the tower
+    behind the first step, so every case is covered; inverse_shift reads all
+    cases of one fold in one call, and lists them only when it fails.
     They hold for every solution (drop_base for permutational levels only),
     so any reported failure is an implementation bug, not a property of the
     input.  symbols restricts the tower alphabet; by default every symbol
@@ -446,8 +471,18 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
     usable = tuple(tables) if symbols is None else tuple(symbols)
     # only pair a symbol with its inverse when both sit in the alphabet
     invertible = tuple(s for s in usable if INVERSE_OF[s] in tables)
+    # one getter per map in this call, however often the map is read
+    getters = _Getters()
+
+    def composed(inner, outer):
+        """The maps of every map in outer after every map in inner."""
+        maps = set()
+        for f in inner:
+            maps.update(map(getters[f], outer))
+        return maps
+
     levels = _held_levels(sol, tables, usable, max_m)
-    folds = _folds(tables, levels, max_m)
+    folds = _folds(tables, levels, max_m, getters)
     report = {"seed": seed}
     # The tower (g,) + rest fed (a,) + zs from x is the tower rest fed zs from
     # tables[g][x][a], so inverse_shift and drop_base read rhs, the fold of
@@ -458,6 +493,13 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
         w = tables[g][x][tables[INVERSE_OF[g]][x][z1]]
         if w != z1:
             moved.append((g, x, z1, w))
+    # a fold shifts every moved case when it reads the same at each w as at
+    # its z1
+    reached = _getter([w for *_, w in moved]) if moved else None
+    fed = _getter([z1 for _, _, z1, _ in moved]) if moved else None
+    # the inverse-seeded towers from every base, one height at a time
+    seeds = [(g, x, tables[INVERSE_OF[g]][x][x]) for g in invertible for x in carrier]
+    seeded = [x for _, x, _ in seeds]
 
     def record(name, checked, failures):
         report[name] = {"checked": checked, "mode": "exhaustive", "failures": failures}
@@ -471,8 +513,7 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
                 word, zs = _tower_path(levels, m, f)
                 failures.extend((word, x, zs, f[x]) for x in carrier if fold[x] != f[x])
         # composing every height-(m-1) map after every single step
-        steps = [_getter(g) for g in levels[1]]
-        prepended = {after(f) for f in shorter for after in steps}
+        prepended = composed(levels[1], shorter)
         failures.extend(("prepend", f) for f in prepended ^ level.keys())
         record(f"peel_one_m{m}", len(level) * n + len(shorter) * len(levels[1]), failures)
 
@@ -480,27 +521,23 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
         failures = []
         for j in range(m + 1):
             # the split j = 1 is the set prepended, built the same way
-            split = prepended if j == 1 else {
-                after(b) for after in map(_getter, levels[j]) for b in levels[m - j]
-            }
+            split = prepended if j == 1 else composed(levels[j], levels[m - j])
             checked += len(levels[j]) * len(levels[m - j])
             failures.extend(("split", j, f) for f in split ^ level.keys())
         record(f"peel_prefix_m{m}", checked, failures)
 
-        failures = [
-            (g, x)
-            for g in invertible
-            for x in carrier
-            if _eval(tables, (g,) * m, x, (tables[INVERSE_OF[g]][x][x],) * m) != x
-        ]
+        seeded = [_eval(tables, (g,), acc, (a,)) for (g, _, a), acc in zip(seeds, seeded)]
+        failures = [(g, x) for (g, x, _), acc in zip(seeds, seeded) if acc != x]
         record(f"inverse_seed_m{m}", len(invertible) * n, failures)
 
         failures = []
-        for f, rhs in folds[m - 1].items():
-            shifted = [(g, x, z1) for g, x, z1, w in moved if rhs[w] != rhs[z1]]
-            if shifted:
-                rest, zs = _tower_path(levels, m - 1, f)
-                failures.extend((g, rest, x, z1, zs) for g, x, z1 in shifted)
+        if moved:
+            for f, rhs in folds[m - 1].items():
+                if reached(rhs) != fed(rhs):
+                    rest, zs = _tower_path(levels, m - 1, f)
+                    failures.extend(
+                        (g, rest, x, z1, zs) for g, x, z1, w in moved if rhs[w] != rhs[z1]
+                    )
         record(f"inverse_shift_m{m}", len(invertible) * len(shorter) * n * n, failures)
 
     # the {sigma, tau} maps decide the level and feed drop_base
@@ -509,7 +546,7 @@ def check_omega_identities(sol, max_m, seed=0, symbols=None):
     perm_level = next((k for k in range(max_m) if _first_nonconstant(tower, k) is None), None)
     report["permutational_level_bound"] = perm_level
     if perm_level is not None:
-        folds = _folds(tables, tower, max_m - 1)
+        folds = _folds(tables, tower, max_m - 1, getters)
         for k in range(perm_level, max_m):
             failures = []
             for f, rhs in folds[k].items():

@@ -97,11 +97,13 @@ def retract_relation(sol, kind="forward"):
     return Partition.from_keys(keys)
 
 
+@_held
 def check_compatibility(sol, partition, op):
     """First quadruple (x1, x2, y1, y2) of related subscripts and related
     arguments whose op-images land in different blocks, or None when the
     partition is compatible with the operation.  op is any action symbol name
-    accepted by the tower machinery."""
+    accepted by the tower machinery.  The witness is held on sol per
+    partition and op."""
     return _first_incompatible(action_table(sol, op), partition)
 
 

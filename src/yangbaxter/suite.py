@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .core import (
+    _braid_violations,
     check_braid_routes,
     check_inverse,
     invert,
@@ -25,7 +26,6 @@ from .core import (
     perm_inverse,
     properties,
     right_nondegenerate,
-    validate_braid,
 )
 from .diagonals import check_diagonal_identities, check_diagonal_theorems, diagonal_maps
 from .errors import ClosedFormMismatch, SizeTooLarge, SymbolUnavailable
@@ -124,7 +124,7 @@ def _tower_holds(sol):
 def _check_universal(sol, report):
     """Claims whose hypotheses any braid-valid solution meets."""
     props = properties(sol)
-    bad = [] if props.braid_ok else [_payload(sol, v) for v in validate_braid(sol)]
+    bad = [] if props.braid_ok else [_payload(sol, v) for v in _braid_violations(sol)]
     bad.extend(_payload(sol, ("routes disagree", v)) for v in check_braid_routes(sol))
     report.record("braid_routes_agree", bad)
 

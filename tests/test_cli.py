@@ -186,6 +186,22 @@ def test_over_deep_json_exits_2_without_traceback(command, tmp_path):
     assert "Traceback" not in run.stderr
 
 
+@pytest.mark.parametrize("argv", [["enumerate", "3", "--left-nd"], ["suite", "--n-max", "2", "--json"]])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # the read end is closed before the command starts, so its first write
+    # to stdout fails as it does under `| head -1`; asserts are stripped
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    try:
+        run = subprocess.run([sys.executable, "-O", "-m", "yangbaxter.cli", *argv], env=env,
+                             stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr and "BrokenPipeError" not in run.stderr, run.stderr
+
+
 def test_validate_qcycle_document(capsys):
     assert main(["validate", str(fixture_path("qcycle_constant.json"))]) == 0
     assert "regular: False" in capsys.readouterr().out

@@ -19,11 +19,12 @@ from yangbaxter import (
     orbit_decomposition,
     to_solution,
 )
-from yangbaxter.core import invert, properties
+from yangbaxter.core import _braid_violations, _preimages, invert, properties
 from yangbaxter.diagonals import diagonal_maps
 from yangbaxter.documents import solution_to_document
 from yangbaxter.fixtures import left_only3, lyubashenko3, z3group
 from yangbaxter.omega import (
+    ALL_SYMBOLS,
     DEFAULT_ALPHABET,
     FULL_ALPHABET,
     SIGMA_HAT_INV,
@@ -35,12 +36,27 @@ from yangbaxter.omega import (
     tower_verdicts,
 )
 from yangbaxter.orbits import _decomposable, _orbit_partition
-from yangbaxter.retract import retract, retract_levels, retract_relation, retract_tower
+from yangbaxter.retract import (
+    check_compatibility,
+    retract,
+    retract_levels,
+    retract_relation,
+    retract_tower,
+)
+
+
+def _compatibility(sol, kind, op):
+    """check_compatibility over sol's own partition of the kind, each held."""
+    return check_compatibility(sol, retract_relation(sol, kind), op)
+
 
 # every held function, with the argument tuples it is read at
 HELD_READS = [
     (properties, ()),
+    (_braid_violations, ()),
+    (_preimages, ()),
     (invert, ()),
+    (from_solution, ()),
     (retract_relation, ("forward",)),
     (retract_relation, ("inverse",)),
     (retract_relation, ("colon",)),
@@ -50,6 +66,7 @@ HELD_READS = [
     (diagonal_maps, ()),
     (tower_verdicts, (2, 3)),
     (tower_verdicts, (3, 4)),
+    *((_compatibility, (kind, op)) for kind in ("forward", "colon") for op in ALL_SYMBOLS),
 ]
 
 

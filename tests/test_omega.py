@@ -212,6 +212,35 @@ def test_star_conditions():
     assert tfix[0] is None and tfix[1] is None and tfix[2] is not None
 
 
+def _reference_star_conditions(sol):
+    """check_star_conditions by its definition: for each x, the first
+    subscript, trying x itself first and then the others in increasing
+    order, whose translation fixes x."""
+    n = sol.n
+    sigma_fixers, tau_fixers = [], []
+    for x in range(n):
+        order = (x, *(y for y in range(n) if y != x))
+        sigma_fixers.append(next((y for y in order if sol.sigma[y][x] == x), None))
+        tau_fixers.append(next((z for z in order if sol.tau[z][x] == x), None))
+    ok = all(w is not None for w in sigma_fixers) and all(w is not None for w in tau_fixers)
+    return ok, tuple(sigma_fixers), tuple(tau_fixers)
+
+
+def test_star_conditions_match_the_definition(suite_populations, nd4_population):
+    sols = [*suite_populations[1], *suite_populations[2], *suite_populations[3], *nd4_population]
+    outcomes = set()
+    for sol in sols:
+        expected = _reference_star_conditions(sol)
+        assert check_star_conditions(sol) == expected, sol
+        outcomes.add(expected[0])
+    # both verdicts occur, and some fixer is not the element itself
+    assert outcomes == {True, False}
+    assert any(
+        w not in (x, None) for sol in sols for fixers in check_star_conditions(sol)[1:]
+        for x, w in enumerate(fixers)
+    )
+
+
 def test_closed_form_u_inverse_lyubashenko():
     table = closed_form_U_inverse(lyubashenko3(), 1)
     assert table == (1, 2, 0)
