@@ -22,7 +22,7 @@ from .documents import load_document, save_document, solution_to_document
 from .errors import DomainError, InputError
 from .omega import check_omega_identities, check_star_conditions, permutational_levels, reductive_levels
 from .orbits import _decomposable, _orbit_partition, orbit_decomposition
-from .qcycle import from_solution, is_regular, qcycle_diagonals, to_solution, validate_qcycle
+from .qcycle import _solution_of, from_solution, is_regular, qcycle_diagonals, to_solution, validate_qcycle
 from .retract import Partition, mpl, mpl_prime, retract
 from .search import EnumFilter, census, enumerate_solutions
 from .suite import theorem_suite
@@ -163,6 +163,9 @@ def cmd_analyze(args):
         report["omega_identities"] = check_omega_identities(sol, args.max_k, seed=args.seed)
     if args.qcycle:
         q = from_solution(sol)
+        # the translation of a solution satisfies the q-cycle axioms, so q is
+        # validated again, by to_solution, only when sol fails the braid check
+        back = _solution_of(q) if properties(sol).braid_ok else to_solution(q)
         U, U_hat, commute_failures = qcycle_diagonals(q)
         report["qcycle"] = {
             "dot": q.dot,
@@ -171,7 +174,7 @@ def cmd_analyze(args):
             "diagonal": U,
             "diagonal_hat": U_hat,
             "diagonals_commute": not commute_failures,
-            "round_trip_ok": to_solution(q) == sol,
+            "round_trip_ok": back == sol,
         }
     if args.orbits:
         # only the partition is read; a degenerate solution has none, and

@@ -13,8 +13,11 @@ rack and the left table,
     tau_u(x) = sigma_w^-1(w |> x)   with w = sigma_x(u)
 
 (Soloviev 2000; Lebed and Vendramin, Adv. Math. 2017).  So the
-non-degenerate solutions are found rack by rack: enumerate the racks, then
-the left tables whose rows are automorphisms of the rack.
+non-degenerate solutions are found rack by rack: find the classes of racks,
+then the left tables whose rows are automorphisms of a class's least rack.
+A relabeling that fixes 0 conjugates row 0 of a table, a rack's as well as
+a solution's, so both searches start only from the least row 0 of each
+conjugacy orbit (see _head_orbits).
 
 Both are placed row by row, and each law forces rows as well as checking
 them.  The rack law L_y L_x = L_{y |> x} L_y forces L_k = L_y L_x L_y^-1 as
@@ -23,9 +26,10 @@ sigma_x sigma_y = sigma_w sigma_t with w = sigma_x(y) and
 t = sigma_w^-1(w |> x), forces sigma_k = sigma_w^-1 sigma_x sigma_y as soon
 as rows x, y and w are placed and t = k; two placed pairs that force
 different rows cut the prefix.  Every law is still checked on each row
-placed.  A candidate is kept only when its right rows are permutations and
-``validate_braid`` finds no violation, so the route never rests on the
-theorem alone.
+placed.  The right table is read off the rack and the inverses of the left
+rows, looked up by their positions in the automorphism group.  A candidate
+is kept only when its right rows are permutations and ``validate_braid``
+finds no violation, so the route never rests on the theorem alone.
 
 Operation tables are indexed like the solution tables: op[y][x] = y |> x.
 """
@@ -46,7 +50,7 @@ def _products(maps):
     a group of permutations or all n^n maps: entry [i][j] is the index of
     maps[i] maps[j] (maps[j] acts first)."""
     index = {row: i for i, row in enumerate(maps)}
-    return [[index[tuple(a[v] for v in b)] for b in maps] for a in maps]
+    return [[index[tuple(map(a.__getitem__, b))] for b in maps] for a in maps]
 
 
 def _inverses(group):
@@ -100,16 +104,44 @@ def _row_tables(n, group, heads, holds, forced=None):
     yield from place(0)
 
 
-def labeled_racks(n):
-    """Every rack on {0, ..., n-1}, as its operation table, in lexicographic
-    order.
+def _conjugate(row, pi, pinv):
+    """The row pi row pi^-1; pinv is the inverse of pi."""
+    return tuple(pi[row[j]] for j in pinv)
+
+
+def _head_orbits(rows, group):
+    """The orbits of rows under h -> pi h pi^-1 for the relabelings pi in
+    group with pi(0) = 0, as (least row of the orbit, orbit size) pairs in
+    row order; rows is sorted and closed under these conjugations.
+
+    Such a pi carries a table with row 0 equal to h onto one with row 0
+    equal to pi h pi^-1: a rack onto a rack, and a solution onto a
+    solution.  When pi keeps the population (every relabeling keeps the
+    racks and every filter, and an automorphism of a derived rack keeps the
+    solutions over that rack) it is a bijection between the tables of
+    conjugate heads.
+    """
+    fixing = [(pi, perm_inverse(pi)) for pi in group if pi[0] == 0]
+    seen = set()
+    orbits = []
+    for row in rows:
+        if row in seen:
+            continue
+        orbit = {_conjugate(row, pi, pinv) for pi, pinv in fixing}
+        seen |= orbit
+        orbits.append((row, len(orbit)))
+    return orbits
+
+
+def _racks(perms, heads):
+    """The racks with row 0 in heads, as operation tables, in lexicographic
+    order; perms is every permutation of the points, sorted.
 
     Rows are placed in order, each a permutation; the law
     L_y L_x = L_{L_y(x)} L_y for (y, x) is checked once the rows y, x and
     y |> x are all placed, and it forces row y |> x when that is the next
     row to place.
     """
-    perms = sorted(permutations(range(n)))
     products = _products(perms)
     inverse, inverse_ids = _inverses(perms)
 
@@ -134,7 +166,14 @@ def labeled_racks(n):
                 found.add(products[products[a][ids[x]]][inverse_ids[a]])
         return _only(found)
 
-    return (op for op, _ in _row_tables(n, perms, perms, holds, forced))
+    return (op for op, _ in _row_tables(len(perms[0]), perms, heads, holds, forced))
+
+
+def labeled_racks(n):
+    """Every rack on {0, ..., n-1}, as its operation table, in lexicographic
+    order."""
+    perms = sorted(permutations(range(n)))
+    return _racks(perms, perms)
 
 
 def rack_classes(n):
@@ -142,12 +181,19 @@ def rack_classes(n):
     class, its automorphisms) pairs in rack order.
 
     The automorphisms are the relabelings that fix the rack, in
-    lexicographic order; a class has n! / |Aut| labeled racks.
+    lexicographic order; a class has n! / |Aut| labeled racks.  Only the
+    racks whose row 0 is the least row of its orbit under the relabelings
+    that fix 0 (see _head_orbits) are searched: a class's least rack has
+    such a row 0, or a relabeling fixing 0 would give a lesser one, so it is
+    still the first of its class found, and its relabelings mark the other
+    members found later.
     """
-    relabelings = [(pi, perm_inverse(pi)) for pi in permutations(range(n))]
+    perms = sorted(permutations(range(n)))
+    heads = [row for row, _ in _head_orbits(perms, perms)]
+    relabelings = [(pi, perm_inverse(pi)) for pi in perms]
     seen = set()
     classes = []
-    for op in labeled_racks(n):
+    for op in _racks(perms, heads):
         if op in seen:
             continue
         images = {}
@@ -158,15 +204,20 @@ def rack_classes(n):
     return classes
 
 
+def _right_table(rack, sigma, sinv):
+    """tau_u(x) = sigma_w^-1(w |> x) with w = sigma_x(u); sinv holds the
+    inverses of sigma's rows."""
+    # column u of sigma lists w = sigma_x(u) for each x
+    return tuple(
+        tuple([sinv[w][rack[w][x]] for x, w in enumerate(column)])
+        for column in zip(*sigma)
+    )
+
+
 def right_table(rack, sigma):
     """The right table tau_u(x) = sigma_w^-1(w |> x), w = sigma_x(u), of the
     left table sigma over the rack."""
-    n = len(rack)
-    sinv = [perm_inverse(row) for row in sigma]
-    return tuple(
-        tuple(sinv[sigma[x][u]][rack[sigma[x][u]][x]] for x in range(n))
-        for u in range(n)
-    )
+    return _right_table(rack, sigma, [perm_inverse(row) for row in sigma])
 
 
 def solutions(rack, automorphisms, heads):
@@ -211,7 +262,8 @@ def solutions(rack, automorphisms, heads):
                     found.add(products[inverse_ids[ids[w]]][products[ids[x]][ids[y]]])
         return _only(found)
 
-    for sigma, _ in _row_tables(len(rack), automorphisms, heads, holds, forced):
-        sol = FiniteSolution._from_tables(sigma, right_table(rack, sigma))
+    for sigma, ids in _row_tables(len(rack), automorphisms, heads, holds, forced):
+        sinv = [inverse[i] for i in ids]
+        sol = FiniteSolution._from_tables(sigma, _right_table(rack, sigma, sinv))
         if right_nondegenerate(sol) and not validate_braid(sol):
             yield sol

@@ -332,11 +332,13 @@ def is_k_reductive(sol, k):
     return reductive_levels(sol, k)[k]
 
 
+@_held
 def check_star_conditions(sol):
     """Whether every element is fixed by some left and some right translation.
 
     Returns (ok, sigma_fixers, tau_fixers); the fixer tuples hold, for each x,
-    a witness subscript whose translation fixes x, or None.
+    a witness subscript whose translation fixes x, or None.  The verdict is
+    held on sol, so every reader gets the same one.
     """
     sigma_fixers, tau_fixers = _fixers(sol.sigma), _fixers(sol.tau)
     ok = None not in sigma_fixers and None not in tau_fixers

@@ -30,8 +30,8 @@ Two independent routes produce the same populations:
 
 ``census`` and the ``up_to_iso`` stream share one class pass, which picks
 the route.  Filters with permutation rows on both sides go through derived
-racks (see ``derived``): the racks are enumerated and grouped into
-isomorphism classes, and each class's least rack R is searched for left
+racks (see ``derived``): the rack classes are found from the racks with a
+representative row 0, and each class's least rack R is searched for left
 tables with rows in Aut(R).  Every other filter goes through the
 watch-list search.  In both, a relabeling that fixes 0 (and, for the rack
 route, lies in Aut(R)) conjugates the head row sigma_0 and carries the
@@ -42,10 +42,12 @@ solution found once per head in its orbit; the rack route multiplies by the
 n! / |Aut R| racks of R's class.  Classes are counted by marking orbits:
 the first solution of a class in the searched stream marks those
 relabelings of itself (in Aut(R) for the rack route) whose head row is a
-representative, and later members are found marked.  The ``up_to_iso``
-stream takes the canonical form (least of all relabelings) of each class's
-first solution.  The watch-list stream of a two-sided filter stays the
-cross-check of the rack route.
+representative, and later members are found marked.  Each relabeled head
+row is found by its id in the product table of the pass's row set (Aut(R),
+or the row options), which is closed under composition and holds the
+relabelings.  The ``up_to_iso`` stream takes the canonical form (least of
+all relabelings) of each class's first solution.  The watch-list stream of
+a two-sided filter stays the cross-check of the rack route.
 
 Census counts frozen into the shipped regression file come from a route that
 production does not use for the cell: the oracle wherever it finishes, and
@@ -73,7 +75,13 @@ from .core import (
     perm_inverse,
     square_free_witness,
 )
-from .derived import _products, _row_tables, rack_classes, solutions as rack_solutions
+from .derived import (
+    _head_orbits,
+    _products,
+    _row_tables,
+    rack_classes,
+    solutions as rack_solutions,
+)
 from .errors import ParseError, SizeTooLarge
 
 MAX_N_UNRESTRICTED = 3
@@ -348,54 +356,56 @@ def _head_stream(n, filt, heads, workers):
     return (sol for chunk in chunks for sol in chunk)
 
 
-def _conjugate(row, pi, pinv):
-    """The row pi row pi^-1; pinv is the inverse of pi."""
-    return tuple(pi[row[j]] for j in pinv)
+class _Marking:
+    """The relabeling group of one class pass, read by ids in its row set.
 
-
-def _head_orbits(rows, group):
-    """The orbits of rows under h -> pi h pi^-1 for the relabelings pi in
-    group with pi(0) = 0, as (least row of the orbit, orbit size) pairs in
-    row order; rows is sorted and closed under these conjugations.
-
-    Such a pi carries a solution with head row h onto one with head row
-    pi h pi^-1, so when pi keeps the population (every relabeling keeps
-    every filter, and an automorphism of a derived rack keeps the solutions
-    over that rack) it is a bijection between the solutions of conjugate
-    heads.
+    rows is the sorted row set the pass searches, closed under composition
+    and holding every relabeling in group (a list of permutations).  orbits
+    maps each representative head row (see _head_orbits) to its orbit's
+    size; heads holds the representatives' ids, products is the product
+    table of rows, and relabelings lists (pi, pi^-1, id of pi, id of pi^-1)
+    for each pi in group.
     """
-    fixing = [(pi, perm_inverse(pi)) for pi in group if pi[0] == 0]
-    seen = set()
-    orbits = []
-    for row in rows:
-        if row in seen:
-            continue
-        orbit = {_conjugate(row, pi, pinv) for pi, pinv in fixing}
-        seen |= orbit
-        orbits.append((row, len(orbit)))
-    return orbits
+
+    def __init__(self, rows, group):
+        self.index = index = {row: i for i, row in enumerate(rows)}
+        self.products = _products(rows)
+        self.orbits = dict(_head_orbits(rows, group))
+        self.heads = {index[row] for row in self.orbits}
+        self.relabelings = []
+        for pi in group:
+            pinv = perm_inverse(pi)
+            self.relabelings.append((pi, pinv, index[pi], index[pinv]))
 
 
-def _marked_images(sol, group, orbits):
-    """The flat keys of the relabelings of sol by the (pi, pi^-1) pairs of
-    group whose head row is a representative in orbits."""
+def _marked_images(sol, marking):
+    """The flat keys of the relabelings of sol in the marking whose head row
+    is a representative.
+
+    The head row of sol relabeled by pi is pi sigma_h pi^-1 with
+    h = pi^-1(0); its id is read off the product table, since sigma's rows
+    and the relabelings all lie in the marking's row set.
+    """
+    index, products, heads = marking.index, marking.products, marking.heads
+    ids = [index[row] for row in sol.sigma]
     return [
         _relabeled_key(sol, pi, pinv)
-        for pi, pinv in group
-        # the head row of the relabeled solution
-        if _conjugate(sol.sigma[pinv[0]], pi, pinv) in orbits
+        for pi, pinv, p, q in marking.relabelings
+        if products[products[p][ids[pinv[0]]]][q] in heads
     ]
 
 
-def _classes(sols, group, orbits):
+def _classes(sols, marking):
     """The weighted count of sols and the first solution of each class.
 
     sols is a stream of the solutions with a representative head row; each
     counts its head orbit's size.  A solution not yet marked opens a class
-    and marks its relabelings by group whose head row is a representative;
-    when group keeps the population, no other key comes up in the stream,
-    and every later member of the class is found marked.
+    and marks its relabelings in the marking whose head row is a
+    representative; when the marking's group keeps the population, no other
+    key comes up in the stream, and every later member of the class is
+    found marked.
     """
+    orbits = marking.orbits
     raw = 0
     marked = set()
     firsts = []
@@ -403,7 +413,7 @@ def _classes(sols, group, orbits):
         raw += orbits[sol.sigma[0]]
         if _flat_key((sol.sigma, sol.tau)) in marked:
             continue
-        marked.update(_marked_images(sol, group, orbits))
+        marked.update(_marked_images(sol, marking))
         firsts.append(sol)
     return raw, firsts
 
@@ -441,19 +451,14 @@ def _class_pass(n, filt, workers):
         for rack, automorphisms in rack_classes(n):
             if not _rack_admits(rack, filt):
                 continue
-            orbits = dict(_head_orbits(automorphisms, automorphisms))
-            group = [(pi, perm_inverse(pi)) for pi in automorphisms]
-            sols = rack_solutions(rack, automorphisms, list(orbits))
-            found, more = _classes(
-                (sol for sol in sols if _passes(sol, filt)), group, orbits
-            )
+            marking = _Marking(automorphisms, automorphisms)
+            sols = rack_solutions(rack, automorphisms, list(marking.orbits))
+            found, more = _classes((sol for sol in sols if _passes(sol, filt)), marking)
             raw += factorial(n) // len(automorphisms) * found
             firsts += more
         return raw, firsts
-    rows = _row_options(n, filt.left_rows_permutations)
-    orbits = dict(_head_orbits(rows, permutations(range(n))))
-    group = [(pi, perm_inverse(pi)) for pi in permutations(range(n))]
-    return _classes(_head_stream(n, filt, list(orbits), workers), group, orbits)
+    marking = _Marking(_row_options(n, filt.left_rows_permutations), list(permutations(range(n))))
+    return _classes(_head_stream(n, filt, list(marking.orbits), workers), marking)
 
 
 def enumerate_solutions(n, filt=EnumFilter(), workers=1):

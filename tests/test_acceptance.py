@@ -217,10 +217,13 @@ def test_criterion_07_orbits_and_decomposability(nd_population):
     _passed(7, f"orbit and decomposability theorems on {len(nd_population)} solutions")
 
 
-def test_criterion_08_qcycle_correspondence(populations):
+def test_criterion_08_qcycle_correspondence(populations, nd4_population):
+    # analyze turns the q-cycle set of a solution back without validating it
+    # again, so the axioms are checked here on every population it reads,
+    # the n = 4 non-degenerate one included
     count = 0
     qsets = [qcycle_constant()]
-    for sols in populations.values():
+    for sols in [*populations.values(), nd4_population]:
         for sol in sols:
             if not properties(sol).left_nondegenerate:
                 continue

@@ -33,6 +33,7 @@ from yangbaxter.omega import (
     _tower_levels,
     action_tables,
     check_omega_identities,
+    check_star_conditions,
     tower_verdicts,
 )
 from yangbaxter.orbits import _decomposable, _orbit_partition
@@ -64,6 +65,7 @@ HELD_READS = [
     (retract_tower, ()),
     (retract_levels, ()),
     (diagonal_maps, ()),
+    (check_star_conditions, ()),
     (tower_verdicts, (2, 3)),
     (tower_verdicts, (3, 4)),
     *((_compatibility, (kind, op)) for kind in ("forward", "colon") for op in ALL_SYMBOLS),

@@ -358,7 +358,7 @@ def _conjugate_head(head, pi):
 def test_head_orbits_partition_the_rows(n, perms_only):
     fixing = [pi for pi in permutations(range(n)) if pi[0] == 0]
     rows = search._row_options(n, perms_only)
-    orbits = search._head_orbits(rows, permutations(range(n)))
+    orbits = derived._head_orbits(rows, permutations(range(n)))
     covered = []
     for rep, size in orbits:
         orbit = {_conjugate_head(rep, pi) for pi in fixing}
@@ -368,6 +368,28 @@ def test_head_orbits_partition_the_rows(n, perms_only):
     assert [rep for rep, _ in orbits] == sorted(rep for rep, _ in orbits)
     if n == 4 and perms_only:
         assert [size for _, size in orbits] == [1, 3, 2, 3, 3, 6, 6]
+
+
+@pytest.mark.parametrize(
+    "n, perms_only", [(1, False), (2, False), (3, False), (1, True), (2, True), (3, True), (4, True)]
+)
+def test_marked_heads_are_read_off_the_product_table(n, perms_only):
+    # _marked_images finds the head row pi sigma_{pi^-1(0)} pi^-1 of each
+    # relabeled solution by its id in the product table; it must be the row
+    # _conjugate builds, for every relabeling and every row in every place
+    rows = search._row_options(n, perms_only)
+    marking = search._Marking(rows, list(permutations(range(n))))
+    for start in range(len(rows)):
+        sigma = tuple(rows[(start + x) % len(rows)] for x in range(n))
+        sol = FiniteSolution._from_tables(sigma, sigma)
+        for target, row in enumerate(rows):
+            marking.heads = {target}
+            expected = [
+                search._relabeled_key(sol, pi, pinv)
+                for pi, pinv, _, _ in marking.relabelings
+                if derived._conjugate(sigma[pinv[0]], pi, pinv) == row
+            ]
+            assert search._marked_images(sol, marking) == expected, (sigma, row)
 
 
 @pytest.mark.parametrize("sig", ["none"] + [sig for n, sig in FROZEN_CELLS if n == 3])
@@ -387,7 +409,7 @@ def test_census_marks_only_relabelings_onto_representative_heads(monkeypatch):
     # no solution with another head row comes up in the searched stream
     filt = EnumFilter(require_left_nd=True)
     rows = search._row_options(3, True)
-    reps = {rep for rep, _ in search._head_orbits(rows, permutations(range(3)))}
+    reps = {rep for rep, _ in derived._head_orbits(rows, permutations(range(3)))}
     heads = []
     relabeled_key = search._relabeled_key
 
@@ -411,7 +433,7 @@ def test_rack_census_marks_only_automorphisms_onto_representative_heads(n, iso, 
     # in Aut(R) and gives a representative head of R's orbits
     classes = {}
     for rack, automorphisms in derived.rack_classes(n):
-        reps = {rep for rep, _ in search._head_orbits(automorphisms, automorphisms)}
+        reps = {rep for rep, _ in derived._head_orbits(automorphisms, automorphisms)}
         classes[rack] = (set(automorphisms), reps)
     racks, marks = {}, []
     rack_solutions, relabeled_key = search.rack_solutions, search._relabeled_key
@@ -490,7 +512,7 @@ def test_census_pool_is_sized_by_representative_heads(pool_sizes, monkeypatch):
     filt = EnumFilter(require_left_nd=True)
     # the 6 head rows at n = 3 fall into 4 orbits, one task per orbit
     assert census(3, filt, workers=3) == CensusResult(raw=354, iso=90)
-    orbits = search._head_orbits(search._row_options(3, True), permutations(range(3)))
+    orbits = derived._head_orbits(search._row_options(3, True), permutations(range(3)))
     assert heads == [rep for rep, _ in orbits] and len(heads) == 4
     # the 2 at n = 2 fall into 2, and the pool is clamped to the tasks
     assert census(2, filt, workers=10**6) == CensusResult(raw=14, iso=10)

@@ -95,15 +95,17 @@ def test_suite_decides_each_tower_fact_once(monkeypatch):
 
 
 def test_suite_decides_each_solution_fact_once(monkeypatch):
-    # the braid check, each row-inverse table, each compatibility witness
-    # and the q-cycle set are held on the solution they are about, so the
-    # entries that read one of them again read the held value: the q-cycle
-    # round trip reads the solution's braid check and q-cycle set, and
-    # check_inverse the inverse's braid check, which its properties read.
-    # When each reader decided for itself this was 1,380 literal braid
-    # checks, 1,576 row-inverse tables, 2,018 compatibility walks and 738
-    # q-cycle sets
-    calls = {"validate_braid": 0, "_inverse_rows": 0, "_first_incompatible": 0, "from_solution": 0}
+    # the braid check, each row-inverse table, each compatibility witness,
+    # the q-cycle set and the star conditions are held on the solution they
+    # are about, so the entries that read one of them again read the held
+    # value: the q-cycle round trip reads the solution's braid check and
+    # q-cycle set, check_inverse the inverse's braid check, which its
+    # properties read, and the non-degenerate entries the star verdict of
+    # the universal battery.  When each reader decided for itself this was
+    # 1,380 literal braid checks, 1,576 row-inverse tables, 2,018
+    # compatibility walks, 738 q-cycle sets and 468 star verdicts
+    calls = {"validate_braid": 0, "_inverse_rows": 0, "_first_incompatible": 0, "from_solution": 0,
+             "check_star_conditions": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -116,11 +118,16 @@ def test_suite_decides_each_solution_fact_once(monkeypatch):
             for name in ("validate_braid", "_inverse_rows", "_first_incompatible"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    # the held q-cycle set is counted below its holder, where it computes
+    # the held q-cycle set and star verdict are counted below their holder,
+    # where they compute
     qcycle_module = sys.modules["yangbaxter.qcycle"]
     from_solution = _held(counted("from_solution", qcycle_module.from_solution.__wrapped__))
     for module in (qcycle_module, sys.modules["yangbaxter.suite"]):
         monkeypatch.setattr(module, "from_solution", from_solution)
+    omega_module = sys.modules["yangbaxter.omega"]
+    star = _held(counted("check_star_conditions", omega_module.check_star_conditions.__wrapped__))
+    for module in (omega_module, sys.modules["yangbaxter.suite"]):
+        monkeypatch.setattr(module, "check_star_conditions", star)
     report = theorem_suite(3)
     assert report.ok()
     # 398 solutions, 72 bijective inverses and 71 retract quotients
@@ -129,6 +136,8 @@ def test_suite_decides_each_solution_fact_once(monkeypatch):
     assert calls["_first_incompatible"] <= 1521
     # the 1 + 14 + 354 left non-degenerate solutions at n <= 3
     assert calls["from_solution"] == 369
+    # one star verdict per solution
+    assert calls["check_star_conditions"] == 398
 
 
 def _witness_count(result):
