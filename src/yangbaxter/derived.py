@@ -26,10 +26,16 @@ sigma_x sigma_y = sigma_w sigma_t with w = sigma_x(y) and
 t = sigma_w^-1(w |> x), forces sigma_k = sigma_w^-1 sigma_x sigma_y as soon
 as rows x, y and w are placed and t = k; two placed pairs that force
 different rows cut the prefix.  Every law is still checked on each row
-placed.  The right table is read off the rack and the inverses of the left
+placed.  The solution search also cuts row k when its diagonal value
+U(k) = sigma_k^-1(k) equals U(x) for a placed row x < k: the diagonal maps
+of a non-degenerate solution are bijections ("Diagonals of solutions of
+the Yang-Baxter equation", arXiv:2402.15652), and U reads only the left
+table.  The right table is read off the rack and the inverses of the left
 rows, looked up by their positions in the automorphism group.  A candidate
 is kept only when its right rows are permutations and ``validate_braid``
-finds no violation, so the route never rests on the theorem alone.
+finds no violation, so the theorems can only drop solutions, never add
+one; the watch-list search in ``search``, which uses neither, is the
+cross-check.
 
 Operation tables are indexed like the solution tables: op[y][x] = y |> x.
 """
@@ -185,11 +191,14 @@ def rack_classes(n):
     racks whose row 0 is the least row of its orbit under the relabelings
     that fix 0 (see _head_orbits) are searched: a class's least rack has
     such a row 0, or a relabeling fixing 0 would give a lesser one, so it is
-    still the first of its class found, and its relabelings mark the other
-    members found later.
+    still the first of its class found, and its relabelings onto such a row
+    0 mark the other members found later.  No other relabeling can meet the
+    search, so no other is built; every automorphism keeps row 0 and is
+    among them.
     """
     perms = sorted(permutations(range(n)))
     heads = [row for row, _ in _head_orbits(perms, perms)]
+    reps = set(heads)
     relabelings = [(pi, perm_inverse(pi)) for pi in perms]
     seen = set()
     classes = []
@@ -198,7 +207,8 @@ def rack_classes(n):
             continue
         images = {}
         for pi, pinv in relabelings:
-            images.setdefault(_relabeled_table(op, pi, pinv), []).append(pi)
+            if _conjugate(op[pinv[0]], pi, pinv) in reps:
+                images.setdefault(_relabeled_table(op, pi, pinv), []).append(pi)
         seen.update(images)
         classes.append((op, images[op]))
     return classes
@@ -220,22 +230,22 @@ def right_table(rack, sigma):
     return _right_table(rack, sigma, [perm_inverse(row) for row in sigma])
 
 
-def solutions(rack, automorphisms, heads):
-    """The non-degenerate solutions whose derived rack is rack and whose head
-    row sigma_0 is one of heads, head by head, each in lexicographic order of
-    the left table.
-
-    automorphisms is the rack's automorphism group, sorted, and heads a
-    subset of it.  Every solution yielded has permutation rows on both sides
-    and passed validate_braid.
-    """
-    products = _products(automorphisms)
+def _solutions(rack, automorphisms, products, heads):
+    """solutions(rack, automorphisms, heads), with products the product table
+    of automorphisms (see _products)."""
     inverse, inverse_ids = _inverses(automorphisms)
     rack_inverse = [perm_inverse(row) for row in rack]
+    # U(x) = sigma_x^-1(x) of the placed rows, by row: holds at row k reads
+    # entries 0..k-1, which the depth-first search keeps for the prefix
+    diagonal = [None] * len(rack)
 
     def holds(sigma, ids, k):
-        """Component 1 on each pair whose four rows are placed and include
-        row k, the last placed."""
+        """U injective on rows 0..k, then component 1 on each pair whose
+        four rows are placed and include row k, the last placed."""
+        u = inverse[ids[k]][k]
+        if u in diagonal[:k]:
+            return False
+        diagonal[k] = u
         for x in range(k + 1):
             row, left = sigma[x], products[ids[x]]
             for y in range(k + 1):
@@ -267,3 +277,15 @@ def solutions(rack, automorphisms, heads):
         sol = FiniteSolution._from_tables(sigma, _right_table(rack, sigma, sinv))
         if right_nondegenerate(sol) and not validate_braid(sol):
             yield sol
+
+
+def solutions(rack, automorphisms, heads):
+    """The non-degenerate solutions whose derived rack is rack and whose head
+    row sigma_0 is one of heads, head by head, each in lexicographic order of
+    the left table.
+
+    automorphisms is the rack's automorphism group, sorted, and heads a
+    subset of it.  Every solution yielded has permutation rows on both sides
+    and passed validate_braid.
+    """
+    return _solutions(rack, automorphisms, _products(automorphisms), heads)

@@ -32,22 +32,25 @@ Two independent routes produce the same populations:
 the route.  Filters with permutation rows on both sides go through derived
 racks (see ``derived``): the rack classes are found from the racks with a
 representative row 0, and each class's least rack R is searched for left
-tables with rows in Aut(R).  Every other filter goes through the
-watch-list search.  In both, a relabeling that fixes 0 (and, for the rack
-route, lies in Aut(R)) conjugates the head row sigma_0 and carries the
-solutions with one head onto those with the conjugate head, so the pass
-searches only the least head row of each conjugacy orbit (7 of the 24 at
-n = 4 with permutation rows in the watch-list pass) and counts each
-solution found once per head in its orbit; the rack route multiplies by the
-n! / |Aut R| racks of R's class.  Classes are counted by marking orbits:
-the first solution of a class in the searched stream marks those
-relabelings of itself (in Aut(R) for the rack route) whose head row is a
-representative, and later members are found marked.  Each relabeled head
-row is found by its id in the product table of the pass's row set (Aut(R),
-or the row options), which is closed under composition and holds the
-relabelings.  The ``up_to_iso`` stream takes the canonical form (least of
-all relabelings) of each class's first solution.  The watch-list stream of
-a two-sided filter stays the cross-check of the rack route.
+tables with rows in Aut(R), cut where the diagonal U repeats a value.  Every
+other filter goes through the watch-list search.  In both, a relabeling that
+fixes 0 (and, for the rack route, lies in Aut(R)) conjugates the head row
+sigma_0 and carries the solutions with one head onto those with the
+conjugate head, so the pass searches only the least head row of each
+conjugacy orbit (7 of the 24 at n = 4 with permutation rows in the
+watch-list pass) and counts each solution found once per head in its orbit;
+the rack route multiplies by the n! / |Aut R| racks of R's class.  Classes
+are counted by marking orbits: the first solution of a class in the searched
+stream marks those relabelings of itself (in Aut(R) for the rack route)
+whose head row is a representative, and later members are found marked.
+Each relabeled head row is found by its id in the product table of the
+pass's row set (Aut(R), or the row options), which is closed under
+composition and holds the relabelings; the rack route builds Aut(R)'s table
+once, for its search and its marking.  Each marked key is built from the
+solution's flat key by one bytes translate and one itemgetter per
+relabeling.  The ``up_to_iso`` stream takes the canonical form (least of all
+relabelings) of each class's first solution.  The watch-list stream of a
+two-sided filter stays the cross-check of the rack route.
 
 Census counts frozen into the shipped regression file come from a route that
 production does not use for the cell: the oracle wherever it finishes, and
@@ -62,13 +65,13 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import permutations, product
 from math import factorial
+from operator import itemgetter
 
 import numpy as np
 
 from .core import (
     FiniteSolution,
     _flat_key,
-    _relabeled_key,
     bijective_witness,
     canonical_form,
     involutive_witness,
@@ -79,8 +82,8 @@ from .derived import (
     _head_orbits,
     _products,
     _row_tables,
+    _solutions as _rack_solutions,
     rack_classes,
-    solutions as rack_solutions,
 )
 from .errors import ParseError, SizeTooLarge
 
@@ -360,38 +363,48 @@ class _Marking:
     """The relabeling group of one class pass, read by ids in its row set.
 
     rows is the sorted row set the pass searches, closed under composition
-    and holding every relabeling in group (a list of permutations).  orbits
-    maps each representative head row (see _head_orbits) to its orbit's
-    size; heads holds the representatives' ids, products is the product
-    table of rows, and relabelings lists (pi, pi^-1, id of pi, id of pi^-1)
-    for each pi in group.
+    and holding every relabeling in group (a list of permutations), and
+    products its product table (see derived._products).  orbits maps each
+    representative head row (see _head_orbits) to its orbit's size, and
+    heads holds the representatives' ids.  relabelings lists, for each pi
+    in group and in its order, (pi^-1(0), id of pi, id of pi^-1, table,
+    source): table is the 256-byte bytes.translate table that applies pi to
+    each entry, and source the itemgetter of the 2n^2 flat-key positions
+    (see _flat_key) from which entry (pi(i), pi(j)) of each relabeled table
+    is read.
     """
 
-    def __init__(self, rows, group):
+    def __init__(self, rows, products, group):
         self.index = index = {row: i for i, row in enumerate(rows)}
-        self.products = _products(rows)
+        self.products = products
         self.orbits = dict(_head_orbits(rows, group))
         self.heads = {index[row] for row in self.orbits}
+        n = len(rows[0])
         self.relabelings = []
         for pi in group:
             pinv = perm_inverse(pi)
-            self.relabelings.append((pi, pinv, index[pi], index[pinv]))
+            table = bytes(pi) + bytes(range(n, 256))
+            source = itemgetter(*[t + i * n + j for t in (0, n * n) for i in pinv for j in pinv])
+            self.relabelings.append((pinv[0], index[pi], index[pinv], table, source))
 
 
-def _marked_images(sol, marking):
+def _marked_images(sol, key, marking):
     """The flat keys of the relabelings of sol in the marking whose head row
-    is a representative.
+    is a representative; key is the flat key of sol.
 
     The head row of sol relabeled by pi is pi sigma_h pi^-1 with
     h = pi^-1(0); its id is read off the product table, since sigma's rows
-    and the relabelings all lie in the marking's row set.
+    and the relabelings all lie in the marking's row set.  Each image's key
+    is built from key in one pass: the translate table applies pi to every
+    entry, and the source getter moves entry (i, j) to (pi(i), pi(j)).  The
+    bytes are those of core._relabeled_key.
     """
     index, products, heads = marking.index, marking.products, marking.heads
     ids = [index[row] for row in sol.sigma]
     return [
-        _relabeled_key(sol, pi, pinv)
-        for pi, pinv, p, q in marking.relabelings
-        if products[products[p][ids[pinv[0]]]][q] in heads
+        bytes(source(key.translate(table)))
+        for h, p, q, table, source in marking.relabelings
+        if products[products[p][ids[h]]][q] in heads
     ]
 
 
@@ -411,9 +424,10 @@ def _classes(sols, marking):
     firsts = []
     for sol in sols:
         raw += orbits[sol.sigma[0]]
-        if _flat_key((sol.sigma, sol.tau)) in marked:
+        key = _flat_key((sol.sigma, sol.tau))
+        if key in marked:
             continue
-        marked.update(_marked_images(sol, marking))
+        marked.update(_marked_images(sol, key, marking))
         firsts.append(sol)
     return raw, firsts
 
@@ -451,13 +465,16 @@ def _class_pass(n, filt, workers):
         for rack, automorphisms in rack_classes(n):
             if not _rack_admits(rack, filt):
                 continue
-            marking = _Marking(automorphisms, automorphisms)
-            sols = rack_solutions(rack, automorphisms, list(marking.orbits))
+            # one product table for the search and the marking
+            products = _products(automorphisms)
+            marking = _Marking(automorphisms, products, automorphisms)
+            sols = _rack_solutions(rack, automorphisms, products, list(marking.orbits))
             found, more = _classes((sol for sol in sols if _passes(sol, filt)), marking)
             raw += factorial(n) // len(automorphisms) * found
             firsts += more
         return raw, firsts
-    marking = _Marking(_row_options(n, filt.left_rows_permutations), list(permutations(range(n))))
+    rows = _row_options(n, filt.left_rows_permutations)
+    marking = _Marking(rows, _products(rows), list(permutations(range(n))))
     return _classes(_head_stream(n, filt, list(marking.orbits), workers), marking)
 
 

@@ -1,12 +1,14 @@
 """Property tests: what the tower deciders and the identity battery say about a
-solution does not depend on how its carrier is labeled."""
+solution does not depend on how its carrier is labeled, and the diagonal U of
+a non-degenerate solution is a bijection that relabeling conjugates."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from yangbaxter import check_omega_identities, relabel, tower_verdicts
+from yangbaxter import check_omega_identities, diagonal_maps, relabel, tower_verdicts
+from yangbaxter.core import perm_inverse
 from yangbaxter.suite import K_PERM_MAX, K_RED_MAX
 
 
@@ -44,3 +46,17 @@ def test_tower_verdicts_and_identities_survive_relabeling(suite_populations, nd4
     for name, result in report.items():
         if isinstance(result, dict):
             assert result["failures"] == [], (name, result)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.data())
+def test_diagonal_u_is_a_bijection_that_relabeling_conjugates(nd4_population, data):
+    # the theorem the rack route's U prune rests on, on the watch-list
+    # route's n = 4 non-degenerate stream: U(x) = sigma_x^-1(x) is a
+    # bijection, and U of the solution relabeled by pi is pi U pi^-1
+    sol = data.draw(st.sampled_from(nd4_population))
+    pi = tuple(data.draw(st.permutations(range(sol.n))))
+    U = diagonal_maps(sol).U
+    assert sorted(U) == list(range(sol.n))
+    pinv = perm_inverse(pi)
+    assert diagonal_maps(relabel(sol, pi)).U == tuple(pi[U[pinv[x]]] for x in range(sol.n))

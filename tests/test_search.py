@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import multiprocessing
 import os
@@ -22,7 +23,7 @@ from yangbaxter import (
     relabel,
     validate_braid,
 )
-from yangbaxter.core import FiniteSolution
+from yangbaxter.core import FiniteSolution, _flat_key, _relabeled_key, perm_inverse
 from yangbaxter import derived, search
 from yangbaxter.fixtures import left_only3
 from yangbaxter.search import FROZEN_CELLS, CensusResult
@@ -309,10 +310,10 @@ def test_rack_census_searches_only_the_racks_the_filter_admits(sig, drawn, kept,
     # one's is a quandle; searching all 19 rack classes drew 344 solutions
     # for each filter
     racks, passed = [], []
-    rack_solutions, passes = search.rack_solutions, search._passes
+    rack_solutions, passes = search._rack_solutions, search._passes
 
-    def drawing(rack, automorphisms, heads):
-        for sol in rack_solutions(rack, automorphisms, heads):
+    def drawing(rack, automorphisms, products, heads):
+        for sol in rack_solutions(rack, automorphisms, products, heads):
             racks.append(rack)
             yield sol
 
@@ -322,7 +323,7 @@ def test_rack_census_searches_only_the_racks_the_filter_admits(sig, drawn, kept,
             return True
         return False
 
-    monkeypatch.setattr(search, "rack_solutions", drawing)
+    monkeypatch.setattr(search, "_rack_solutions", drawing)
     monkeypatch.setattr(search, "_passes", passing)
     filt = EnumFilter.from_signature(sig)
     result = census(4, filt)
@@ -376,20 +377,27 @@ def test_head_orbits_partition_the_rows(n, perms_only):
 def test_marked_heads_are_read_off_the_product_table(n, perms_only):
     # _marked_images finds the head row pi sigma_{pi^-1(0)} pi^-1 of each
     # relabeled solution by its id in the product table; it must be the row
-    # _conjugate builds, for every relabeling and every row in every place
+    # _conjugate builds, for every relabeling and every row in every place;
+    # each key it builds must be the flat key of the relabeled solution
     rows = search._row_options(n, perms_only)
-    marking = search._Marking(rows, list(permutations(range(n))))
+    group = list(permutations(range(n)))
+    marking = search._Marking(rows, derived._products(rows), group)
+    relabelings = [(pi, perm_inverse(pi)) for pi in group]
     for start in range(len(rows)):
         sigma = tuple(rows[(start + x) % len(rows)] for x in range(n))
         sol = FiniteSolution._from_tables(sigma, sigma)
+        key = _flat_key((sigma, sigma))
         for target, row in enumerate(rows):
             marking.heads = {target}
-            expected = [
-                search._relabeled_key(sol, pi, pinv)
-                for pi, pinv, _, _ in marking.relabelings
+            chosen = [
+                (pi, pinv)
+                for pi, pinv in relabelings
                 if derived._conjugate(sigma[pinv[0]], pi, pinv) == row
             ]
-            assert search._marked_images(sol, marking) == expected, (sigma, row)
+            marked = search._marked_images(sol, key, marking)
+            assert marked == [_relabeled_key(sol, pi, pinv) for pi, pinv in chosen], (sigma, row)
+            images = [relabel(sol, pi) for pi, _ in chosen]
+            assert marked == [_flat_key((image.sigma, image.tau)) for image in images]
 
 
 @pytest.mark.parametrize("sig", ["none"] + [sig for n, sig in FROZEN_CELLS if n == 3])
@@ -405,24 +413,42 @@ def test_head_counts_are_constant_on_orbits_n3(sig):
         assert {counts[_conjugate_head(head, pi)] for pi in fixing} == {count}, head
 
 
+def _recorded_marks(monkeypatch):
+    """Record (solution, pi, key) for each key _marked_images returns: it is
+    called on one relabeling of the marking at a time, whose translate table
+    starts with the bytes of pi, and the keys must come out the same."""
+    marks = []
+    marked_images = search._marked_images
+
+    def recording(sol, key, marking):
+        keys = []
+        for relabeling in marking.relabelings:
+            one = copy.copy(marking)
+            one.relabelings = [relabeling]
+            pi = tuple(relabeling[3][:sol.n])
+            for image in marked_images(sol, key, one):
+                marks.append((sol, pi, image))
+                keys.append(image)
+        assert keys == marked_images(sol, key, marking)
+        return keys
+
+    monkeypatch.setattr(search, "_marked_images", recording)
+    return marks
+
+
 def test_census_marks_only_relabelings_onto_representative_heads(monkeypatch):
     # no solution with another head row comes up in the searched stream
     filt = EnumFilter(require_left_nd=True)
     rows = search._row_options(3, True)
     reps = {rep for rep, _ in derived._head_orbits(rows, permutations(range(3)))}
     heads = []
-    relabeled_key = search._relabeled_key
-
-    def recording(sol, pi, pinv):
-        key = relabeled_key(sol, pi, pinv)
+    marks = _recorded_marks(monkeypatch)
+    assert census(3, filt) == CensusResult(raw=354, iso=90)
+    for sol, pi, key in marks:
         relabeled = relabel(sol, pi)
-        assert key == search._flat_key((relabeled.sigma, relabeled.tau))
+        assert key == _flat_key((relabeled.sigma, relabeled.tau))
         # the first n bytes are the relabeled head row
         heads.append(tuple(key[:sol.n]))
-        return key
-
-    monkeypatch.setattr(search, "_relabeled_key", recording)
-    assert census(3, filt) == CensusResult(raw=354, iso=90)
     assert len(reps) == 4
     assert heads and set(heads) <= reps < set(rows)
 
@@ -435,22 +461,18 @@ def test_rack_census_marks_only_automorphisms_onto_representative_heads(n, iso, 
     for rack, automorphisms in derived.rack_classes(n):
         reps = {rep for rep, _ in derived._head_orbits(automorphisms, automorphisms)}
         classes[rack] = (set(automorphisms), reps)
-    racks, marks = {}, []
-    rack_solutions, relabeled_key = search.rack_solutions, search._relabeled_key
+    racks = {}
+    rack_solutions = search._rack_solutions
 
-    def tagging(rack, automorphisms, heads):
-        for sol in rack_solutions(rack, automorphisms, heads):
+    def tagging(rack, automorphisms, products, heads):
+        for sol in rack_solutions(rack, automorphisms, products, heads):
             racks[sol] = rack
             yield sol
 
-    def recording(sol, pi, pinv):
-        key = relabeled_key(sol, pi, pinv)
-        marks.append((racks[sol], pi, tuple(key[:sol.n])))
-        return key
-
-    monkeypatch.setattr(search, "rack_solutions", tagging)
-    monkeypatch.setattr(search, "_relabeled_key", recording)
+    monkeypatch.setattr(search, "_rack_solutions", tagging)
+    recorded = _recorded_marks(monkeypatch)
     assert census(n, EnumFilter(require_nd=True)).iso == iso
+    marks = [(racks[sol], pi, tuple(key[:sol.n])) for sol, pi, key in recorded]
     assert marks
     for rack, pi, head in marks:
         automorphisms, reps = classes[rack]
