@@ -204,7 +204,7 @@ def cmd_enumerate(args):
             raise InputError(f"cannot use --out {args.out}: {exc}") from exc
     status = EXIT_OK
     if args.census or args.check_frozen:
-        result = census(args.n, filt, workers=args.workers)
+        result = census(args.n, filt)
         report = {
             "n": args.n,
             "filter": filt.signature(),
@@ -218,7 +218,7 @@ def cmd_enumerate(args):
         _emit(report, args.json)
     if args.out is not None:
         count = 0
-        for i, sol in enumerate(enumerate_solutions(args.n, filt, workers=args.workers)):
+        for i, sol in enumerate(enumerate_solutions(args.n, filt)):
             save_document(
                 os.path.join(args.out, f"sol_{i:06d}.json"), solution_to_document(sol)
             )
@@ -226,7 +226,7 @@ def cmd_enumerate(args):
         print(f"wrote {count} documents to {args.out}")
     elif not (args.census or args.check_frozen):
         count = 0
-        for sol in enumerate_solutions(args.n, filt, workers=args.workers):
+        for sol in enumerate_solutions(args.n, filt):
             print(json.dumps(solution_to_document(sol)))
             count += 1
         print(f"# {count} solutions", file=sys.stderr)
@@ -234,7 +234,7 @@ def cmd_enumerate(args):
 
 
 def cmd_suite(args):
-    report = theorem_suite(args.n_max, workers=args.workers)
+    report = theorem_suite(args.n_max)
     if args.json:
         payload = {
             "n_max": report.n_max,
@@ -301,14 +301,16 @@ def build_parser():
     p.add_argument("--check-frozen", dest="check_frozen", action="store_true",
                    help="compare against the shipped frozen census")
     p.add_argument("--out", default=None, help="write one JSON document per solution")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="no effect: every search runs in one process")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("suite", help="verify all theorems over complete populations")
     p.add_argument("--n-max", dest="n_max", type=int, default=2)
     p.add_argument("--json", action="store_true")
     p.add_argument("--seed", type=int, default=0, help="no effect: every tower verdict is exact")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="no effect: every search runs in one process")
     p.set_defaults(func=cmd_suite)
     return parser
 

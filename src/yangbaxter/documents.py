@@ -88,6 +88,10 @@ def load_document(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # a literal the decoder refuses, such as an integer past the
+        # interpreter's digit limit
+        raise ParseError(f"cannot decode {path}: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"{path} nests too deeply to decode: {exc}") from exc
     return parse_document(doc)

@@ -59,8 +59,6 @@ two-sided non-degenerate cells at n = 4.  The build refuses to trust a
 production count that diverges from a frozen one.
 """
 
-import multiprocessing
-import os
 from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import permutations, product
@@ -343,22 +341,6 @@ def _raw_stream(n, filt, heads):
                 yield sol
 
 
-def _worker(args):
-    n, filt, head = args
-    return list(_raw_stream(n, filt, [head]))
-
-
-def _head_stream(n, filt, heads, workers):
-    """_raw_stream over heads, split into one pool task per head when
-    workers > 1; the stream and its order do not depend on workers."""
-    if workers <= 1:
-        return _raw_stream(n, filt, heads)
-    tasks = [(n, filt, head) for head in heads]
-    with multiprocessing.Pool(min(workers, len(tasks), os.cpu_count() or 1)) as pool:
-        chunks = pool.map(_worker, tasks)
-    return (sol for chunk in chunks for sol in chunk)
-
-
 class _Marking:
     """The relabeling group of one class pass, read by ids in its row set.
 
@@ -445,7 +427,7 @@ def _rack_admits(rack, filt):
     return True
 
 
-def _class_pass(n, filt, workers):
+def _class_pass(n, filt):
     """The raw count and the first solution found of each isomorphism class,
     from one search over representative heads.
 
@@ -456,8 +438,7 @@ def _class_pass(n, filt, workers):
     a rack R exactly when it lies in Aut(R), so the n! / |Aut R| racks of
     R's class have as many solutions each as R, and the classes over R are
     the Aut(R)-orbits on its solutions; the rack classes the filter rules
-    out (see _rack_admits) are not searched, and this route runs in the
-    calling process at any worker count.  Every other filter goes through
+    out (see _rack_admits) are not searched.  Every other filter goes through
     the watch-list search, marking with all relabelings.
     """
     if filt.left_rows_permutations and filt.right_rows_permutations:
@@ -475,33 +456,31 @@ def _class_pass(n, filt, workers):
         return raw, firsts
     rows = _row_options(n, filt.left_rows_permutations)
     marking = _Marking(rows, _products(rows), list(permutations(range(n))))
-    return _classes(_head_stream(n, filt, list(marking.orbits), workers), marking)
+    return _classes(_raw_stream(n, filt, list(marking.orbits)), marking)
 
 
-def enumerate_solutions(n, filt=EnumFilter(), workers=1):
+def enumerate_solutions(n, filt=EnumFilter()):
     """Deterministic stream of all braid-valid solutions matching the filter.
 
     Output is in lexicographic order of the flattened table pair; with
     up_to_iso set, the canonical form (least relabeling) of each
     isomorphism class is emitted instead, again in lexicographic order.
-    The stream is identical for any worker count.
     """
     _check_bounds(n, filt)
     if filt.up_to_iso:
-        _, firsts = _class_pass(n, filt, workers)
+        _, firsts = _class_pass(n, filt)
         forms = [canonical_form(sol) for sol in firsts]
         yield from sorted(forms, key=lambda sol: _flat_key((sol.sigma, sol.tau)))
         return
-    heads = _row_options(n, filt.left_rows_permutations)
-    yield from _head_stream(n, filt, heads, workers)
+    yield from _raw_stream(n, filt, _row_options(n, filt.left_rows_permutations))
 
 
-def census(n, filt=EnumFilter(), workers=1):
+def census(n, filt=EnumFilter()):
     """Raw and up-to-isomorphism counts for one (n, filter) cell, from one
     class pass (see _class_pass): raw is the length of the full stream and
     iso the number of distinct canonical forms in it."""
     _check_bounds(n, filt)
-    raw, firsts = _class_pass(n, filt, workers)
+    raw, firsts = _class_pass(n, filt)
     return CensusResult(raw=raw, iso=len(firsts))
 
 

@@ -426,7 +426,7 @@ def _check_nondegenerate(sol, report):
     report.record("closed_form_diagonal_inverses", bad)
 
 
-def theorem_suite(n_max, workers=1):
+def theorem_suite(n_max):
     """Run every suite entry over the complete populations up to n_max.
 
     The full battery runs at n <= 3 (n = 3 restricted to the left
@@ -441,7 +441,7 @@ def theorem_suite(n_max, workers=1):
     for n in range(1, min(n_max, 3) + 1):
         filt = EnumFilter() if n <= 2 else EnumFilter(require_left_nd=True)
         count = 0
-        for sol in enumerate_solutions(n, filt, workers=workers):
+        for sol in enumerate_solutions(n, filt):
             count += 1
             props = properties(sol)
             _check_universal(sol, report)
@@ -455,7 +455,7 @@ def theorem_suite(n_max, workers=1):
     if n_max >= 4:
         filt = EnumFilter(require_nd=True)
         count = 0
-        for sol in enumerate_solutions(4, filt, workers=workers):
+        for sol in enumerate_solutions(4, filt):
             count += 1
             _check_diagonals(sol, report)
         report.populations[4] = {"filter": filt.signature(), "count": count}

@@ -423,6 +423,24 @@ def test_workers_below_1_exits_2(argv, workers, monkeypatch, capsys):
     assert f"--workers must be >= 1, got {workers}" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "3", "--left-nd", "--census", "--json"],
+    ["enumerate", "3", "--left-nd", "--iso"],
+    ["suite", "--n-max", "2", "--json"],
+])
+def test_workers_has_no_effect(argv, capsys):
+    def run(extra):
+        status = main([*argv, *extra])
+        out = capsys.readouterr().out
+        if argv[0] == "suite":
+            payload = json.loads(out)
+            del payload["elapsed_seconds"]
+            out = json.dumps(payload, sort_keys=True)
+        return status, out
+
+    assert run(["--workers", "2"]) == run([])
+
+
 def test_suite_n1_and_n2(capsys):
     assert main(["suite", "--n-max", "1"]) == 0
     out = capsys.readouterr().out

@@ -96,6 +96,13 @@ def test_over_deep_json_is_a_parse_error(tmp_path):
         load_document(deep)
 
 
+def test_integer_past_the_digit_limit_is_a_parse_error(tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text('{"format_version": 1, "n": ' + "9" * 5000 + "}")
+    with pytest.raises(ParseError, match="cannot decode .*big.json"):
+        load_document(big)
+
+
 def test_shipped_fixture_documents_match_builders():
     kind, obj, labels = load_document(fixture_path("left_only3.json"))
     assert kind == "solution" and obj == left_only3() and labels == ("a", "b", "c")

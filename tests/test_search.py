@@ -1,7 +1,5 @@
 import copy
 import hashlib
-import multiprocessing
-import os
 from dataclasses import replace
 from itertools import permutations, product
 
@@ -32,29 +30,6 @@ from yangbaxter.search import FROZEN_CELLS, CensusResult
 # then tau, rows concatenated, one digit per entry, a space between the two
 # tables), the same lines in the same order as perfbench/data/nd-n4.txt
 ND4_STREAM_SHA256 = "d9c99a6a26689960dbd08c6af7dd6f270ea213edda0a40f9a61eee092ee35249"
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace multiprocessing.Pool by a recorder that maps in-process, so no
-    worker starts; returns the list of requested pool sizes."""
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return list(map(fn, tasks))
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    return sizes
 
 
 def test_single_element_population():
@@ -481,76 +456,24 @@ def test_rack_census_marks_only_automorphisms_onto_representative_heads(n, iso, 
     assert any(reps < automorphisms for automorphisms, reps in classes.values())
 
 
-def test_worker_count_does_not_change_stream():
-    filt = EnumFilter()
-    seq = list(enumerate_solutions(2, filt, workers=1))
-    par = list(enumerate_solutions(2, filt, workers=2))
-    assert seq == par
+def test_census_pool_is_sized_by_representative_heads(monkeypatch):
+    # the pool of head rows the watch-list census searches is one per orbit
+    searched = []
+    raw_stream = search._raw_stream
+
+    def recording(n, filt, heads):
+        searched.append(list(heads))
+        return raw_stream(n, filt, heads)
+
+    monkeypatch.setattr(search, "_raw_stream", recording)
     filt = EnumFilter(require_left_nd=True)
-    assert list(enumerate_solutions(3, filt, workers=2)) == list(
-        enumerate_solutions(3, filt, workers=1)
-    )
-
-
-def test_worker_pool_is_clamped(pool_sizes):
-    stream = list(enumerate_solutions(2, EnumFilter(), workers=10**6))
-    # n = 2 without filters splits into one task per left row, 4 in all
-    assert pool_sizes == [min(4, os.cpu_count() or 1)]
-    assert stream == list(enumerate_solutions(2, EnumFilter()))
-
-
-@pytest.mark.parametrize("sig", ["none", "nd"])
-def test_worker_stream_single_element(pool_sizes, sig):
-    # at n = 1 the only left row is both the first and the last
-    filt = EnumFilter.from_signature(sig)
-    assert list(enumerate_solutions(1, filt, workers=2)) == list(
-        enumerate_solutions(1, filt, workers=1)
-    )
-    assert pool_sizes == [1]
-
-
-def test_census_deterministic_across_workers():
-    filt = EnumFilter(require_nd=True)
-    assert census(3, filt, workers=1) == census(3, filt, workers=2)
-
-
-def test_up_to_iso_stream_deterministic_across_workers():
-    filt = EnumFilter(require_left_nd=True, up_to_iso=True)
-    assert list(enumerate_solutions(3, filt, workers=2)) == list(
-        enumerate_solutions(3, filt, workers=1)
-    )
-
-
-def test_census_pool_is_sized_by_representative_heads(pool_sizes, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    heads = []
-    worker = search._worker
-
-    def recording(task):
-        heads.append(task[2])
-        return worker(task)
-
-    monkeypatch.setattr(search, "_worker", recording)
-    filt = EnumFilter(require_left_nd=True)
-    # the 6 head rows at n = 3 fall into 4 orbits, one task per orbit
-    assert census(3, filt, workers=3) == CensusResult(raw=354, iso=90)
+    # the 6 head rows at n = 3 fall into 4 orbits
+    assert census(3, filt) == CensusResult(raw=354, iso=90)
     orbits = derived._head_orbits(search._row_options(3, True), permutations(range(3)))
-    assert heads == [rep for rep, _ in orbits] and len(heads) == 4
-    # the 2 at n = 2 fall into 2, and the pool is clamped to the tasks
-    assert census(2, filt, workers=10**6) == CensusResult(raw=14, iso=10)
-    assert pool_sizes == [3, 2]
-
-
-def test_rack_census_starts_no_pool(pool_sizes):
-    # permutation rows on both sides are counted through derived racks, in
-    # this process, at any worker count
-    for sig in ("nd", "left_nd+right_nd", "nd+involutive"):
-        filt = EnumFilter.from_signature(sig)
-        assert census(3, filt, workers=4) == census(3, filt, workers=1)
-        assert list(enumerate_solutions(3, replace(filt, up_to_iso=True), workers=4)) == list(
-            enumerate_solutions(3, replace(filt, up_to_iso=True))
-        )
-    assert pool_sizes == []
+    assert searched == [[rep for rep, _ in orbits]] and len(searched[0]) == 4
+    # the 2 at n = 2 fall into 2
+    assert census(2, filt) == CensusResult(raw=14, iso=10)
+    assert len(searched) == 2 and len(searched[1]) == 2
 
 
 def test_size_limits(monkeypatch):
