@@ -32,7 +32,7 @@ print("  equal:", list(enumerate_solutions(2)) == oracle_enumerate(2))
 print("\nnon-degenerate population at n = 3, classified:")
 levels = Counter()
 decomposable = 0
-for sol in enumerate_solutions(3, EnumFilter(require_nd=True)):
+for sol in enumerate_solutions(3, EnumFilter.from_signature("nd")):
     levels[mpl(sol)] += 1
     if is_decomposable(sol):
         decomposable += 1
@@ -40,6 +40,6 @@ print("  multipermutation levels:", dict(sorted(levels.items(), key=str)))
 print("  decomposable:", decomposable)
 
 print("\none representative per isomorphism class (n = 2, non-degenerate):")
-for sol in enumerate_solutions(2, EnumFilter(require_nd=True, up_to_iso=True)):
+for sol in enumerate_solutions(2, EnumFilter.from_signature("nd"), up_to_iso=True):
     p = properties(sol)
     print(f"  sigma={sol.sigma} tau={sol.tau} involutive={p.involutive}")

@@ -31,6 +31,16 @@ EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
 
+# the help of the enumerate filter flags, one per EnumFilter label
+FILTER_HELP = {
+    "left_nd": "left non-degenerate: every sigma_x is a bijection",
+    "right_nd": "right non-degenerate: every tau_y is a bijection",
+    "nd": "non-degenerate: --left-nd --right-nd",
+    "bijective": "the pair map r is a bijection",
+    "involutive": "the pair map r is its own inverse",
+    "square_free": "r(x, x) = (x, x) for every x",
+}
+
 
 def _write_json(obj, out, newline):
     """Append to out the text json.dumps(obj, indent=1, sort_keys=True) gives
@@ -192,8 +202,8 @@ def cmd_analyze(args):
 
 
 def cmd_enumerate(args):
-    filt = EnumFilter(
-        up_to_iso=args.iso, **{name: getattr(args, name) for name in EnumFilter.labels().values()}
+    filt = EnumFilter.from_signature(
+        "+".join(label for label in EnumFilter.labels() if getattr(args, label)) or "none"
     )
     # an out-of-reach size exits before --out leaves a directory behind
     search._check_bounds(args.n, filt)
@@ -218,7 +228,7 @@ def cmd_enumerate(args):
         _emit(report, args.json)
     if args.out is not None:
         count = 0
-        for i, sol in enumerate(enumerate_solutions(args.n, filt)):
+        for i, sol in enumerate(enumerate_solutions(args.n, filt, args.iso)):
             save_document(
                 os.path.join(args.out, f"sol_{i:06d}.json"), solution_to_document(sol)
             )
@@ -226,7 +236,7 @@ def cmd_enumerate(args):
         print(f"wrote {count} documents to {args.out}")
     elif not (args.census or args.check_frozen):
         count = 0
-        for sol in enumerate_solutions(args.n, filt):
+        for sol in enumerate_solutions(args.n, filt, args.iso):
             print(json.dumps(solution_to_document(sol)))
             count += 1
         print(f"# {count} solutions", file=sys.stderr)
@@ -294,8 +304,8 @@ def build_parser():
     p = sub.add_parser("enumerate", help="stream, count or dump all solutions of size n")
     p.add_argument("n", type=int)
     p.add_argument("--json", action="store_true")
-    for label, name in EnumFilter.labels().items():
-        p.add_argument("--" + label.replace("_", "-"), dest=name, action="store_true")
+    for label in EnumFilter.labels():
+        p.add_argument("--" + label.replace("_", "-"), action="store_true", help=FILTER_HELP[label])
     p.add_argument("--iso", action="store_true", help="one representative per isomorphism class")
     p.add_argument("--census", action="store_true", help="print raw and iso counts only")
     p.add_argument("--check-frozen", dest="check_frozen", action="store_true",

@@ -351,6 +351,8 @@ def _relabeled_table(table, pi, pinv):
 
 def relabel(sol, pi):
     """Transport the tables along the carrier bijection pi."""
+    if len(pi) != sol.n or set(pi) != set(range(sol.n)):
+        raise MalformedTable(f"pi must be a permutation of 0..{sol.n - 1}, got {pi!r}")
     pinv = perm_inverse(pi)
     return FiniteSolution._from_tables(
         _relabeled_table(sol.sigma, pi, pinv), _relabeled_table(sol.tau, pi, pinv)

@@ -28,8 +28,8 @@ Two independent routes produce the same populations:
   composition of the two triple maps (vectorized over the right-table batch,
   but never skipping a candidate).
 
-``census`` and the ``up_to_iso`` stream share one class pass, which picks
-the route.  Filters with permutation rows on both sides go through derived
+``census`` and the ``up_to_iso`` stream of ``enumerate_solutions`` share one
+class pass, which picks the route.  The two-sided nd filters go through derived
 racks (see ``derived``): the rack classes are found from the racks with a
 representative row 0, and each class's least rack R is searched for left
 tables with rows in Aut(R), cut where the diagonal U repeats a value.  Every
@@ -59,7 +59,7 @@ two-sided non-degenerate cells at n = 4.  The build refuses to trust a
 production count that diverges from a frozen one.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 from itertools import permutations, product
 from math import factorial
@@ -93,45 +93,42 @@ MAX_N_NONDEGENERATE = 4
 class EnumFilter:
     require_left_nd: bool = False
     require_right_nd: bool = False
-    require_nd: bool = False
     require_bijective: bool = False
     require_involutive: bool = False
     require_square_free: bool = False
-    up_to_iso: bool = False
-
-    @property
-    def left_rows_permutations(self):
-        return self.require_left_nd or self.require_nd
-
-    @property
-    def right_rows_permutations(self):
-        return self.require_right_nd or self.require_nd
 
     @staticmethod
     def labels():
-        """The census-cell label of each require_ field, the field's name
-        without the prefix, mapped to the field's name, in field order; the
-        command line's filter flags are these labels."""
+        """The census-cell labels, each mapped to the fields it sets, in
+        signature order; nd sets both sides.  The command line's filter
+        flags are these labels."""
         return {
-            f.name.removeprefix("require_"): f.name
-            for f in fields(EnumFilter)
-            if f.name.startswith("require_")
+            "left_nd": ("require_left_nd",),
+            "right_nd": ("require_right_nd",),
+            "nd": ("require_left_nd", "require_right_nd"),
+            "bijective": ("require_bijective",),
+            "involutive": ("require_involutive",),
+            "square_free": ("require_square_free",),
         }
 
     def signature(self):
-        """Canonical census-cell label; up_to_iso is not part of the cell
-        because every census records both raw and iso counts."""
-        names = [label for label, name in self.labels().items() if getattr(self, name)]
+        """The cell's one label: the labels whose fields are all set, with nd
+        in place of left_nd+right_nd, or "none"."""
+        table = self.labels()
+        names = [label for label in table if all(getattr(self, name) for name in table[label])]
+        if "nd" in names:
+            names = [label for label in names if label not in ("left_nd", "right_nd")]
         return "+".join(names) if names else "none"
 
     @staticmethod
     def from_signature(sig):
-        names = EnumFilter.labels()
+        """The filter of "+"-joined labels in any order, or of "none"."""
+        labels = EnumFilter.labels()
         kwargs = {}
         for label in [] if sig == "none" else sig.split("+"):
-            if label not in names:
+            if label not in labels:
                 raise ParseError(f"unknown filter label {label!r}")
-            kwargs[names[label]] = True
+            kwargs.update(dict.fromkeys(labels[label], True))
         return EnumFilter(**kwargs)
 
 
@@ -149,7 +146,7 @@ def _check_bounds(n, filt):
         raise SizeTooLarge("carrier size must be at least 1")
     if n <= MAX_N_UNRESTRICTED:
         return
-    if n <= MAX_N_NONDEGENERATE and filt.left_rows_permutations:
+    if n <= MAX_N_NONDEGENERATE and filt.require_left_nd:
         return
     raise SizeTooLarge(
         f"n={n} with filter {filt.signature()} is out of reach: search without "
@@ -333,9 +330,9 @@ def _tau_completions(n, sigma, cells, right_perms):
 def _raw_stream(n, filt, heads):
     """The solutions whose head row sigma_0 is one of heads, in
     lexicographic order."""
-    rows = _row_options(n, filt.left_rows_permutations)
+    rows = _row_options(n, filt.require_left_nd)
     for sigma, cells in _left_tables(n, rows, heads):
-        for tau in _tau_completions(n, sigma, cells, filt.right_rows_permutations):
+        for tau in _tau_completions(n, sigma, cells, filt.require_right_nd):
             sol = FiniteSolution._from_tables(sigma, tau)
             if _passes(sol, filt):
                 yield sol
@@ -441,7 +438,7 @@ def _class_pass(n, filt):
     out (see _rack_admits) are not searched.  Every other filter goes through
     the watch-list search, marking with all relabelings.
     """
-    if filt.left_rows_permutations and filt.right_rows_permutations:
+    if filt.require_left_nd and filt.require_right_nd:
         raw, firsts = 0, []
         for rack, automorphisms in rack_classes(n):
             if not _rack_admits(rack, filt):
@@ -454,25 +451,25 @@ def _class_pass(n, filt):
             raw += factorial(n) // len(automorphisms) * found
             firsts += more
         return raw, firsts
-    rows = _row_options(n, filt.left_rows_permutations)
+    rows = _row_options(n, filt.require_left_nd)
     marking = _Marking(rows, _products(rows), list(permutations(range(n))))
     return _classes(_raw_stream(n, filt, list(marking.orbits)), marking)
 
 
-def enumerate_solutions(n, filt=EnumFilter()):
+def enumerate_solutions(n, filt=EnumFilter(), up_to_iso=False):
     """Deterministic stream of all braid-valid solutions matching the filter.
 
     Output is in lexicographic order of the flattened table pair; with
-    up_to_iso set, the canonical form (least relabeling) of each
-    isomorphism class is emitted instead, again in lexicographic order.
+    up_to_iso, the canonical form (least relabeling) of each isomorphism
+    class is emitted instead, again in lexicographic order.
     """
     _check_bounds(n, filt)
-    if filt.up_to_iso:
+    if up_to_iso:
         _, firsts = _class_pass(n, filt)
         forms = [canonical_form(sol) for sol in firsts]
         yield from sorted(forms, key=lambda sol: _flat_key((sol.sigma, sol.tau)))
         return
-    yield from _raw_stream(n, filt, _row_options(n, filt.left_rows_permutations))
+    yield from _raw_stream(n, filt, _row_options(n, filt.require_left_nd))
 
 
 def census(n, filt=EnumFilter()):
@@ -486,18 +483,6 @@ def census(n, filt=EnumFilter()):
 
 # ---------------------------------------------------------------------------
 # unpruned oracle
-
-
-def _flip(sigma, tau):
-    return tau, sigma
-
-
-def _oracle_feasible(n, filt):
-    if n <= 2:
-        return True
-    if n == 3 and (filt.left_rows_permutations or filt.right_rows_permutations):
-        return True
-    return False
 
 
 def _braid_mask(sigma_arr, tau_batch):
@@ -532,17 +517,15 @@ def oracle_enumerate(n, filt=EnumFilter()):
     n = 3.  Output is sorted into the same lexicographic order as the
     production stream.
     """
-    if not _oracle_feasible(n, filt):
+    left_perms, right_perms = filt.require_left_nd, filt.require_right_nd
+    if not (n <= 2 or n == 3 and (left_perms or right_perms)):
         raise SizeTooLarge(
             f"the unpruned oracle only covers n <= 2, or n = 3 with a "
             f"one-sided non-degeneracy filter (got n={n}, {filt.signature()})"
         )
-    flipped = False
-    left_perms = filt.left_rows_permutations
-    right_perms = filt.right_rows_permutations
-    if n == 3 and not left_perms:
-        # scan the reversed solution so the big batch sits on the right side
-        flipped = True
+    # at n = 3, scan the reversed solution so the big batch sits on the right side
+    flipped = n == 3 and not left_perms
+    if flipped:
         left_perms, right_perms = right_perms, left_perms
 
     sigma_tables = _row_options(n, left_perms)
@@ -556,11 +539,7 @@ def oracle_enumerate(n, filt=EnumFilter()):
         mask = _braid_mask(np.array(sigma, dtype=np.int64), tau_batch)
         for i in np.flatnonzero(mask):
             tau = tau_full[i]
-            if flipped:
-                s, t = _flip(sigma, tau)
-            else:
-                s, t = sigma, tau
-            sol = FiniteSolution(s, t)
+            sol = FiniteSolution(tau, sigma) if flipped else FiniteSolution(sigma, tau)
             if _passes(sol, filt):
                 found.append(sol)
     found.sort(key=lambda sol: (sol.sigma, sol.tau))

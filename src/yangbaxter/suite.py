@@ -439,7 +439,7 @@ def theorem_suite(n_max):
     t0 = time.perf_counter()
     report = SuiteReport(n_max=n_max)
     for n in range(1, min(n_max, 3) + 1):
-        filt = EnumFilter() if n <= 2 else EnumFilter(require_left_nd=True)
+        filt = EnumFilter.from_signature("none" if n <= 2 else "left_nd")
         count = 0
         for sol in enumerate_solutions(n, filt):
             count += 1
@@ -453,7 +453,7 @@ def theorem_suite(n_max):
                 _check_nondegenerate(sol, report)
         report.populations[n] = {"filter": filt.signature(), "count": count}
     if n_max >= 4:
-        filt = EnumFilter(require_nd=True)
+        filt = EnumFilter.from_signature("nd")
         count = 0
         for sol in enumerate_solutions(4, filt):
             count += 1

@@ -36,4 +36,4 @@ def nd4_population():
     """The 1,800 non-degenerate solutions at n = 4 in stream order, streamed
     once per test session for the tests that take them as input; the tests
     of the stream itself call enumerate_solutions."""
-    return tuple(enumerate_solutions(4, EnumFilter(require_nd=True)))
+    return tuple(enumerate_solutions(4, EnumFilter(require_left_nd=True, require_right_nd=True)))

@@ -243,7 +243,7 @@ def test_analyze_walks_the_retract_tower_once(tmp_path, monkeypatch, capsys):
         for module in (retract_module, orbits_module, cli):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, replacement)
-    sols = list(enumerate_solutions(3, EnumFilter(require_nd=True)))
+    sols = list(enumerate_solutions(3, EnumFilter(require_left_nd=True, require_right_nd=True)))
     heights = set()
     for sol in sols:
         path = tmp_path / "sol.json"
@@ -363,6 +363,17 @@ def test_enumerate_check_frozen_mismatch_exits_1(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert (report["raw"], report["iso"]) == (4, 4)
     assert report["frozen"] == "MISMATCH expected raw=5 iso=4"
+
+
+def test_every_spelling_of_nd_reports_the_nd_cell(capsys):
+    # --nd is --left-nd --right-nd: one cell, one label, one frozen verdict
+    outs = []
+    for flags in (["--nd"], ["--left-nd", "--right-nd"], ["--nd", "--left-nd"]):
+        assert main(["enumerate", "3", *flags, "--check-frozen", "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[1] == outs[2] == outs[0]
+    report = json.loads(outs[0])
+    assert (report["filter"], report["frozen"]) == ("nd", "match")
 
 
 @pytest.mark.parametrize("label", list(EnumFilter.labels()))
@@ -582,13 +593,14 @@ def test_each_command_line_is_parsed_once(monkeypatch, capsys):
 
 def test_stdout_bytes_and_exit_codes_are_pinned(tmp_path, capsys):
     fixtures = [str(fixture_path(name)) for name in FIXTURE_FILES]
+    nd = EnumFilter(require_left_nd=True, require_right_nd=True)
     nd3 = []
-    for i, sol in enumerate(enumerate_solutions(3, EnumFilter(require_nd=True))):
+    for i, sol in enumerate(enumerate_solutions(3, nd)):
         nd3.append(str(tmp_path / f"nd3_{i:02d}.json"))
         save_document(nd3[-1], solution_to_document(sol))
     # one document per n = 4 non-degenerate class, as the benchmark's analyze runs
     nd4_iso = []
-    for i, sol in enumerate(enumerate_solutions(4, EnumFilter(require_nd=True, up_to_iso=True))):
+    for i, sol in enumerate(enumerate_solutions(4, nd, up_to_iso=True)):
         nd4_iso.append(str(tmp_path / f"nd4_iso_{i:03d}.json"))
         save_document(nd4_iso[-1], solution_to_document(sol))
     non_braid = str(tmp_path / "non_braid.json")

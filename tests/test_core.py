@@ -293,3 +293,11 @@ def test_relabel_transports_structure():
         assert moved.sigma[pi[x]][pi[y]] == pi[sol.sigma[x][y]]
         assert moved.tau[pi[x]][pi[y]] == pi[sol.tau[x][y]]
     assert validate_braid(moved) == []
+
+
+@pytest.mark.parametrize("pi", [(0, 0, 1), (0, 1), (0, 1, 5), (1, 2, 3)])
+def test_relabel_refuses_a_pi_that_is_not_a_permutation(pi):
+    # (0, 0, 1) used to collapse the tables into a braid-valid pair, and
+    # the others to raise a bare IndexError
+    with pytest.raises(MalformedTable, match="pi must be a permutation of 0..2"):
+        relabel(lyubashenko3(), pi)

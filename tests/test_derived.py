@@ -64,7 +64,7 @@ def test_nd_solutions_are_fixed_by_rack_and_left_table(n):
     # the route rests on this: the derived operation is a rack, each row
     # sigma_x is one of its automorphisms, and the two give back tau
     count = 0
-    for sol in enumerate_solutions(n, EnumFilter(require_nd=True)):
+    for sol in enumerate_solutions(n, EnumFilter(require_left_nd=True, require_right_nd=True)):
         op = _derived_rack(sol)
         assert _is_rack(op), sol
         assert all(_relabeled(op, row) == op for row in sol.sigma), sol
@@ -78,7 +78,7 @@ def test_involutive_racks_are_trivial_and_square_free_racks_are_quandles(n):
     # the rack census searches only these racks for the two filters
     trivial = tuple(tuple(range(n)) for _ in range(n))
     seen = {"involutive": 0, "square_free": 0}
-    for sol in enumerate_solutions(n, EnumFilter(require_nd=True)):
+    for sol in enumerate_solutions(n, EnumFilter(require_left_nd=True, require_right_nd=True)):
         op = _derived_rack(sol)
         if involutive_witness(sol) is None:
             assert op == trivial, sol
@@ -101,7 +101,8 @@ def test_rack_route_equals_the_watch_list_stream(n):
         assert all(_derived_rack(sol) == rack for sol in sols)
         found.extend(sols)
     found.sort(key=lambda sol: (sol.sigma, sol.tau))
-    assert found == list(enumerate_solutions(n, EnumFilter(require_nd=True)))
+    nd = EnumFilter(require_left_nd=True, require_right_nd=True)
+    assert found == list(enumerate_solutions(n, nd))
 
 
 def test_forced_rows_are_the_only_rows_tried(monkeypatch):
@@ -127,7 +128,8 @@ def test_forced_rows_are_the_only_rows_tried(monkeypatch):
         return row_tables(n, group, heads, counted, *args)
 
     monkeypatch.setattr(derived, "_row_tables", counting)
-    assert census(4, EnumFilter(require_nd=True)) == CensusResult(raw=1800, iso=253)
+    nd = EnumFilter(require_left_nd=True, require_right_nd=True)
+    assert census(4, nd) == CensusResult(raw=1800, iso=253)
     assert calls["holds"] == 4608
     calls["holds"] = 0
     assert len(derived.rack_classes(4)) == RACK_CLASSES[4]

@@ -432,7 +432,7 @@ def test_deciders_match_scan_on_suite_populations(suite_populations):
     for sol in sols:
         _assert_matches_scan(sol, 3, 4, [DEFAULT_ALPHABET])
     # the inverse alphabets the suite compares against the level
-    for sol in enumerate_solutions(3, EnumFilter(require_nd=True)):
+    for sol in enumerate_solutions(3, EnumFilter(require_left_nd=True, require_right_nd=True)):
         _assert_matches_scan(sol, 3, 0, [FULL_ALPHABET, (SIGMA_INV, SIGMA_HAT_INV)])
 
 

@@ -48,9 +48,8 @@ def test_suborbits_are_braid_valid_and_reindexed():
     tau = ((0, 1, 2), (0, 1, 2), (0, 1, 2))
     block_diagonal = FiniteSolution(sigma, tau)
     assert orbit_decomposition(block_diagonal).partition.num_blocks() == 3
-    population = [
-        sol for n in (1, 2, 3) for sol in enumerate_solutions(n, EnumFilter(require_nd=True))
-    ]
+    nd = EnumFilter(require_left_nd=True, require_right_nd=True)
+    population = [sol for n in (1, 2, 3) for sol in enumerate_solutions(n, nd)]
     for sol in [block_diagonal] + population:
         decomp = orbit_decomposition(sol)
         assert [sub.elements for sub in decomp.suborbits] == decomp.partition.blocks()
@@ -90,7 +89,7 @@ def test_orbit_theorem_levels_match_per_height_orbit_checks():
     # every height from one build per orbit gives the per-height verdicts and
     # witnesses, on reductive and non-reductive heights alike
     reductive_heights = 0
-    for sol in enumerate_solutions(3, EnumFilter(require_nd=True)):
+    for sol in enumerate_solutions(3, EnumFilter(require_left_nd=True, require_right_nd=True)):
         decomposition = orbit_decomposition(sol)
         levels = orbit_theorem_levels(decomposition, 4)
         assert list(levels) == [1, 2, 3, 4]

@@ -1,6 +1,6 @@
 import copy
 import hashlib
-from dataclasses import replace
+from dataclasses import fields
 from itertools import permutations, product
 
 import pytest
@@ -202,7 +202,7 @@ def test_left_tables_match_the_product_route_n4():
 def test_nd4_stream_is_pinned():
     lines = (
         " ".join("".join(map(str, sum(table, ()))) for table in (sol.sigma, sol.tau))
-        for sol in enumerate_solutions(4, EnumFilter(require_nd=True))
+        for sol in enumerate_solutions(4, EnumFilter(require_left_nd=True, require_right_nd=True))
     )
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == ND4_STREAM_SHA256
@@ -218,7 +218,7 @@ def test_stream_is_lexicographic_and_valid():
 
 
 def test_filters_are_exact():
-    filt = EnumFilter(require_nd=True, require_involutive=True)
+    filt = EnumFilter(require_left_nd=True, require_right_nd=True, require_involutive=True)
     emitted = list(enumerate_solutions(2, filt))
     for sol in emitted:
         p = properties(sol)
@@ -233,20 +233,20 @@ def test_left_nd_stream_contains_left_only3():
 
 
 def test_up_to_iso_emits_sorted_canonical_representatives():
-    filt = EnumFilter(require_nd=True, up_to_iso=True)
-    reps = list(enumerate_solutions(2, filt))
+    filt = EnumFilter(require_left_nd=True, require_right_nd=True)
+    reps = list(enumerate_solutions(2, filt, up_to_iso=True))
     assert reps == sorted(reps, key=lambda s: (s.sigma, s.tau))
     assert all(canonical_form(s) == s for s in reps)
     # no two representatives isomorphic, and every solution matches one
     for i, a in enumerate(reps):
         for b in reps[i + 1 :]:
             assert is_isomorphic(a, b) is None
-    for sol in enumerate_solutions(2, EnumFilter(require_nd=True)):
+    for sol in enumerate_solutions(2, EnumFilter(require_left_nd=True, require_right_nd=True)):
         assert canonical_form(sol) in reps
 
 
 def test_census_counts_raw_and_iso():
-    result = census(2, EnumFilter(require_nd=True))
+    result = census(2, EnumFilter(require_left_nd=True, require_right_nd=True))
     assert result.raw == 4
     assert result.iso == 4
 
@@ -267,12 +267,12 @@ def test_all_frozen_cells_reproduce():
 
 
 def test_check_frozen_census_gives_three_verdicts():
-    nd = EnumFilter(require_nd=True)
+    nd = EnumFilter(require_left_nd=True, require_right_nd=True)
     assert check_frozen_census(2, nd, CensusResult(raw=4, iso=4)) == "match"
     assert check_frozen_census(2, nd, CensusResult(raw=5, iso=4)) == (
         "MISMATCH expected raw=4 iso=4"
     )
-    unfrozen = EnumFilter(require_nd=True, require_bijective=True)
+    unfrozen = EnumFilter(require_left_nd=True, require_right_nd=True, require_bijective=True)
     assert check_frozen_census(2, unfrozen, CensusResult(raw=4, iso=4)) == "cell not frozen"
 
 
@@ -319,7 +319,7 @@ def test_census_iso_counts_canonical_forms(n, sig):
     result = census(n, filt)
     assert result.raw == len(stream)
     assert result.iso == len(forms)
-    assert list(enumerate_solutions(n, replace(filt, up_to_iso=True))) == forms
+    assert list(enumerate_solutions(n, filt, up_to_iso=True)) == forms
 
 
 def _conjugate_head(head, pi):
@@ -381,7 +381,7 @@ def test_head_counts_are_constant_on_orbits_n3(sig):
     fixing = [pi for pi in permutations(range(3)) if pi[0] == 0]
     counts = {
         head: sum(1 for _ in search._raw_stream(3, filt, [head]))
-        for head in search._row_options(3, filt.left_rows_permutations)
+        for head in search._row_options(3, filt.require_left_nd)
     }
     assert sum(counts.values()) == len(list(enumerate_solutions(3, filt)))
     for head, count in counts.items():
@@ -446,7 +446,7 @@ def test_rack_census_marks_only_automorphisms_onto_representative_heads(n, iso, 
 
     monkeypatch.setattr(search, "_rack_solutions", tagging)
     recorded = _recorded_marks(monkeypatch)
-    assert census(n, EnumFilter(require_nd=True)).iso == iso
+    assert census(n, EnumFilter(require_left_nd=True, require_right_nd=True)).iso == iso
     marks = [(racks[sol], pi, tuple(key[:sol.n])) for sol, pi, key in recorded]
     assert marks
     for rack, pi, head in marks:
@@ -493,9 +493,9 @@ def test_size_limits(monkeypatch):
     for sig in ("left_nd", "nd", "left_nd+bijective", "nd+involutive"):
         assert search._check_bounds(4, EnumFilter.from_signature(sig)) is None
     with pytest.raises(SizeTooLarge):
-        census(5, EnumFilter(require_nd=True))
+        census(5, EnumFilter(require_left_nd=True, require_right_nd=True))
     with pytest.raises(SizeTooLarge):
-        list(enumerate_solutions(6, EnumFilter(require_nd=True)))
+        list(enumerate_solutions(6, EnumFilter(require_left_nd=True, require_right_nd=True)))
     with pytest.raises(SizeTooLarge):
         list(enumerate_solutions(0, EnumFilter()))
     with pytest.raises(SizeTooLarge):
@@ -505,13 +505,32 @@ def test_size_limits(monkeypatch):
 def test_filter_signature_round_trip():
     for n, sig in FROZEN_CELLS:
         assert EnumFilter.from_signature(sig).signature() == sig
-    # every combination of the six flags, labelled in field order
-    labels = ("left_nd", "right_nd", "nd", "bijective", "involutive", "square_free")
-    for flags in product([False, True], repeat=len(labels)):
+    # every setting of the five fields is one cell with one label
+    names = [f.name for f in fields(EnumFilter)]
+    assert names == [
+        "require_left_nd", "require_right_nd", "require_bijective",
+        "require_involutive", "require_square_free",
+    ]
+    sigs = set()
+    for flags in product([False, True], repeat=len(names)):
         filt = EnumFilter(*flags)
-        sig = "+".join(label for label, on in zip(labels, flags) if on) or "none"
-        assert filt.signature() == sig
+        sig = filt.signature()
+        sigs.add(sig)
         assert EnumFilter.from_signature(sig) == filt
+        # both sides are written nd, never left_nd+right_nd
+        both = filt.require_left_nd and filt.require_right_nd
+        assert ("nd" in sig.split("+")) == both and "left_nd+right_nd" not in sig
+    assert len(sigs) == 32
+    assert EnumFilter.from_signature("left_nd+right_nd") == EnumFilter.from_signature("nd")
+    # every set of labels, in table order and reversed, parses to the union
+    # of the fields its labels set
+    labels = EnumFilter.labels()
+    assert labels["nd"] == ("require_left_nd", "require_right_nd")
+    for chosen in product([False, True], repeat=len(labels)):
+        picked = [label for label, on in zip(labels, chosen) if on]
+        union = EnumFilter(**{name: True for label in picked for name in labels[label]})
+        for order in (picked, picked[::-1]):
+            assert EnumFilter.from_signature("+".join(order) or "none") == union
     for sig in ("left-nd", "nd+iso", "", "none+nd"):
         with pytest.raises(ParseError):
             EnumFilter.from_signature(sig)

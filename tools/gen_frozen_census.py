@@ -1,12 +1,12 @@
 """Regenerate the frozen census regression file from routes that production
 does not use for the cell.
 
-The two-sided non-degenerate cells at n = 4 come from the watch-list stream
-(``enumerate_solutions`` without ``up_to_iso``) with one ``canonical_form``
-per solution, because production counts those cells through derived racks.
-Every other cell comes from the unpruned oracle.  Never take a count from
-``census`` itself: the regression test then proves the production count
-reproduces an independent route on every run.
+The two-sided non-degenerate (nd) cells at n = 4 come from the watch-list
+stream (``enumerate_solutions`` with ``up_to_iso=False``) with one
+``canonical_form`` per solution, because production counts those cells
+through derived racks.  Every other cell comes from the unpruned oracle.
+Never take a count from ``census`` itself: the regression test then proves
+the production count reproduces an independent route on every run.
 
 Run from the repository root:  python3 tools/gen_frozen_census.py
 """
